@@ -42,9 +42,7 @@ def measure(args) -> None:
             )
             for k in range(1, min(args.n, args.m) + 1):
                 t0 = time.monotonic()
-                v = model_check(
-                    protocol, k, max_states=args.max_states, threads=args.threads
-                )
+                v = model_check(protocol, k, max_states=args.max_states)
                 print(
                     f"{name:<14} {q:>2} {f'product k={k}':<10} {v.result:<15} "
                     f"{fmt(v.states):>12} {fmt(v.transitions):>13} "
@@ -72,7 +70,6 @@ def main() -> None:
         help="abort bare exploration past this many states",
     )
     parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    parser.add_argument("--threads", type=int, default=1)
     measure(parser.parse_args())
 
 

@@ -110,37 +110,12 @@ def _exec_step(e, mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return mem
 
 
-def _sc_decide(trace: Trace) -> bool:
-    """DFS over program-order interleavings with memoized dead states."""
-    progs = _programs(trace)
-    events = trace.events
-    total = len(events)
-    mem0 = (0,) * trace.params.m
-    dead: set = set()
-
-    def rec(cursors: tuple[int, ...], mem: tuple[int, ...], done: int) -> bool:
-        if done == total:
-            return True
-        key = (cursors, mem)
-        if key in dead:
-            return False
-        for pi, idxs in enumerate(progs):
-            c = cursors[pi]
-            if c == len(idxs):
-                continue
-            mem2 = _exec_step(events[idxs[c] - 1], mem)
-            if mem2 is None:
-                continue
-            if rec(cursors[:pi] + (c + 1,) + cursors[pi + 1 :], mem2, done + 1):
-                return True
-        dead.add(key)
-        return False
-
-    return rec((0,) * len(progs), mem0, 0)
-
-
 def _feasible_with_pins(trace: Trace, pins: dict[int, int]) -> bool:
-    """Is there a valid interleaving placing event u at position pins[u]?"""
+    """Is there a valid interleaving placing event u at position pins[u]?
+
+    DFS over program-order interleavings with memoized dead states; with no
+    pins it decides sequential consistency.
+    """
     progs = _programs(trace)
     events = trace.events
     total = len(events)
@@ -219,6 +194,6 @@ def check_sc_oracle(
         return None
     if engine != "interleaving":
         raise ParameterError(f"unknown oracle engine {engine!r}")
-    if not _sc_decide(trace):
+    if not _feasible_with_pins(trace, {}):
         return None
     return SerialWitness(_lex_min_witness(trace))

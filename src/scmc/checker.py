@@ -9,11 +9,11 @@ without reaching one means no such cycle exists at this k.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import monitors
 from .errors import ParameterError, PreconditionError, ReplayError, SoundnessError
@@ -21,7 +21,6 @@ from .events import (
     READ,
     WRITE,
     Event,
-    InternalEvent,
     MemoryEvent,
     Params,
     Run,
@@ -47,6 +46,7 @@ _SUCC_CACHE_MAX = 1 << 18
 
 _PHASE_INDEX = {monitors.A: 0, monitors.B: 1, monitors.ERR: 2}
 _PHASES = (monitors.A, monitors.B, monitors.ERR)
+_PHASE_BYTES = (b"\x00", b"\x01", b"\x02")
 
 NO_VIOLATION = "no_violation"
 COUNTEREXAMPLE = "counterexample"
@@ -89,29 +89,31 @@ class Verdict:
         return out
 
 
-def _constrain_table(e: MemoryEvent, k: int):
-    """(loc index, per-phase targets) for the one constraint a write touches,
-    None for events no constraint reacts to.  Targets are phase indices or
-    None for a blocked event."""
-    if e.op != WRITE:
-        return None
-    targets = []
-    for phase in (monitors.A, monitors.B):
-        nxt = constrain_step(ConstrainState(e.loc, k, phase), e)
-        targets.append(None if nxt is None else _PHASE_INDEX[nxt.phase])
-    return e.loc - 1, tuple(targets)
+def _monitor_steps(e: Event, m: int, k: int) -> tuple:
+    """How e moves the monitor bytes of a product key.
 
-
-def _check_table(e: MemoryEvent, k: int):
-    if e.proc > k:
-        return None
-    targets = tuple(
-        _PHASE_INDEX[check_step(CheckState(e.proc, k, phase), e).phase]
-        for phase in _PHASES
-    )
-    if targets == (0, 1, 2):
-        return None
-    return e.proc - 1, targets
+    One (byte position, targets) pair per monitor e can move: the constraint
+    of its location for a write, then the check of its processor.  Targets
+    are indexed by the monitor's phase index and hold the next phase index,
+    or None where the constraint blocks e.
+    """
+    if type(e) is not MemoryEvent:
+        return ()
+    steps = []
+    if e.op == WRITE:
+        targets = []
+        for phase in (monitors.A, monitors.B):
+            nxt = constrain_step(ConstrainState(e.loc, k, phase), e)
+            targets.append(None if nxt is None else _PHASE_INDEX[nxt.phase])
+        steps.append((e.loc - 1, tuple(targets)))
+    if e.proc <= k:
+        targets = tuple(
+            _PHASE_INDEX[check_step(CheckState(e.proc, k, phase), e).phase]
+            for phase in _PHASES
+        )
+        if targets != (0, 1, 2):
+            steps.append((m + e.proc - 1, targets))
+    return tuple(steps)
 
 
 def extract_cycle(
@@ -159,12 +161,71 @@ def extract_cycle(
     return trace, cycle
 
 
+class _Search(NamedTuple):
+    parents: dict  # key -> (parent key, event); roots map to (None, None)
+    transitions: int
+    max_depth: int
+    goal: Optional[tuple]  # (key, depth) of the first key passing the goal test
+    exceeded: bool  # stopped because more than max_states keys were reached
+
+
+def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -> _Search:
+    """Breadth-first (or depth-first) search over hashable keys.
+
+    expand(key) yields (event, successor key) pairs in a fixed order, and
+    every pair counts as a transition.  Keys at depth_limit are reached but
+    not expanded.  The search stops at the first newly reached key passing
+    goal(key), or as soon as more than max_states keys (None: no bound) are
+    reached.
+    """
+    parents: dict = {}
+    frontier: deque = deque()
+    for key in roots:
+        if key not in parents:
+            parents[key] = (None, None)
+            frontier.append((key, 0))
+    pop = frontier.pop if dfs else frontier.popleft
+    push = frontier.append
+    bound = sys.maxsize if max_states is None else max_states
+    states = len(parents)
+    transitions = max_depth = 0
+    while frontier:
+        key, depth = pop()
+        if depth > max_depth:
+            max_depth = depth
+        if depth == depth_limit:
+            continue
+        depth += 1
+        for e, key2 in expand(key):
+            transitions += 1
+            if key2 in parents:
+                continue
+            parents[key2] = (key, e)
+            states += 1
+            if goal is not None and goal(key2):
+                return _Search(parents, transitions, max_depth, (key2, depth), False)
+            if states > bound:
+                return _Search(parents, transitions, max_depth, None, True)
+            push((key2, depth))
+    return _Search(parents, transitions, max_depth, None, False)
+
+
+def _path(parents: dict, key) -> tuple[object, tuple[Event, ...]]:
+    """The root `key` was reached from, and the events leading there."""
+    events: list[Event] = []
+    parent, e = parents[key]
+    while parent is not None:
+        events.append(e)
+        key = parent
+        parent, e = parents[key]
+    return key, tuple(reversed(events))
+
+
 def model_check(
     protocol: MemorySystem,
     k: int,
     max_states: int = DEFAULT_MAX_STATES,
     search: str = "bfs",
-    threads: int = 1,
 ) -> Verdict:
     """Explore the monitor product at cycle size k until a violation or closure.
 
@@ -182,204 +243,88 @@ def model_check(
         raise ParameterError(f"search must be 'bfs' or 'dfs', got {search!r}")
     if max_states < 1:
         raise ParameterError(f"max_states must be >= 1, got {max_states}")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
 
+    # A product key is the packed protocol state followed by one phase byte
+    # per location constraint and one per processor check.  States travel
+    # through the search as these bytes and are rebuilt on demand: deep
+    # searches then cost key bytes per state instead of a retained object
+    # tree, and the successor cache stays bounded.
     m = protocol.m
-    cons0 = (0,) * m
-    chk0 = (0,) * k
-    all_err = (2,) * k
+    mk = m + k
+    all_err = bytes((2,)) * k
+    events: dict[Event, tuple] = {}  # interned event -> (event, monitor steps)
+    succ_cache: dict[bytes, tuple] = {}
 
-    cons_tables: dict[MemoryEvent, object] = {}
-    chk_tables: dict[MemoryEvent, object] = {}
-    intern: dict[Event, Event] = {}
-    succ_cache: dict = {}
-    decode = getattr(protocol, "decode_state", None)
+    def successors_of(x: bytes) -> tuple:
+        s = succ_cache.get(x)
+        if s is None:
+            if len(succ_cache) >= _SUCC_CACHE_MAX:
+                succ_cache.clear()
+            out = []
+            for e, ps2 in protocol.successors(protocol.decode_state(x)):
+                entry = events.get(e)
+                if entry is None:
+                    entry = events[e] = (e, _monitor_steps(e, m, k))
+                out.append((*entry, protocol.encode_state(ps2)))
+            s = succ_cache[x] = tuple(out)
+        return s
 
-    if decode is not None:
-        # States travel through the search as packed bytes and are rebuilt
-        # on demand: deep searches then cost key bytes per state instead of
-        # a retained object tree, and the successor cache stays bounded.
-        def successors_of(x):
-            s = succ_cache.get(x)
-            if s is None:
-                if len(succ_cache) >= _SUCC_CACHE_MAX:
-                    succ_cache.clear()
-                s = tuple(
-                    (intern.setdefault(e, e), protocol.encode_state(ps2))
-                    for e, ps2 in protocol.successors(decode(x))
-                )
-                succ_cache[x] = s
-            return s
-
-        def entry_of(ps):
-            return protocol.encode_state(ps)
-
-        def key_of(x) -> bytes:
-            return x
-
-    else:
-        def successors_of(x):
-            s = succ_cache.get(x)
-            if s is None:
-                s = tuple(
-                    (intern.setdefault(e, e), ps2)
-                    for e, ps2 in protocol.successors(x)
-                )
-                succ_cache[x] = s
-            return s
-
-        def entry_of(ps):
-            return ps
-
-        def key_of(x) -> bytes:
-            return protocol.encode_state(x)
-
-    def expand(x, cons, chk):
-        out = []
-        for e, x2 in successors_of(x):
-            if type(e) is MemoryEvent:
-                ct = cons_tables.get(e)
-                if ct is None and e not in cons_tables:
-                    ct = _constrain_table(e, k)
-                    cons_tables[e] = ct
-                if ct is not None:
-                    jdx, targets = ct
-                    nxt = targets[cons[jdx]]
-                    if nxt is None:
-                        continue  # constraint blocks this write
-                    cons2 = cons if nxt == cons[jdx] else cons[:jdx] + (nxt,) + cons[jdx + 1 :]
-                else:
-                    cons2 = cons
-                kt = chk_tables.get(e)
-                if kt is None and e not in chk_tables:
-                    kt = _check_table(e, k)
-                    chk_tables[e] = kt
-                if kt is not None:
-                    idx, targets = kt
-                    nxt = targets[chk[idx]]
-                    chk2 = chk if nxt == chk[idx] else chk[:idx] + (nxt,) + chk[idx + 1 :]
-                else:
-                    chk2 = chk
+    def expand(key: bytes):
+        cut = len(key) - mk
+        mon = key[cut:]
+        for e, steps, x2 in successors_of(key[:cut]):
+            mon2 = mon
+            for pos, targets in steps:
+                phase = targets[mon2[pos]]
+                if phase is None:
+                    break  # the constraint blocks this write
+                if phase != mon2[pos]:
+                    mon2 = mon2[:pos] + _PHASE_BYTES[phase] + mon2[pos + 1 :]
             else:
-                cons2, chk2 = cons, chk
-            out.append((e, x2, cons2, chk2, key_of(x2) + bytes(cons2) + bytes(chk2)))
-        return out
+                yield e, x2 + mon2
 
-    visited: dict[bytes, tuple[Optional[bytes], Optional[Event]]] = {}
     roots: dict[bytes, object] = {}
-    frontier: deque = deque()
     for ps in protocol.initial_states():
-        x = entry_of(ps)
-        key = key_of(x) + bytes(cons0) + bytes(chk0)
-        if key in visited:
-            continue
-        visited[key] = (None, None)
-        roots[key] = ps
-        frontier.append((x, cons0, chk0, key, 0))
-    states = len(visited)
-    transitions = 0
-    max_depth = 0
-
-    def finish_counterexample(key2: bytes, depth: int) -> Verdict:
-        events: list[Event] = []
-        key = key2
-        while True:
-            parent, e = visited[key]
-            if parent is None:
-                init = roots[key]
-                break
-            events.append(e)
-            key = parent
-        events.reverse()
-        run = Run(tuple(events), Params(protocol.n, protocol.m, 2))
-        trace, cycle = extract_cycle(protocol, run, init, k)
-        return Verdict(
-            k, COUNTEREXAMPLE, states, transitions, depth, run, cycle, trace, init
-        )
-
-    executor = ThreadPoolExecutor(max_workers=threads) if (threads > 1 and search == "bfs") else None
-    try:
-        while frontier:
-            if executor is None:
-                x, cons, chk, key, depth = (
-                    frontier.popleft() if search == "bfs" else frontier.pop()
-                )
-                if depth > max_depth:
-                    max_depth = depth
-                batches = [(key, depth, expand(x, cons, chk))]
-                frontier_extend = frontier.append
-            else:
-                # level-synchronous parallel expansion; merge order matches
-                # the serial schedule, so verdicts are identical
-                level = list(frontier)
-                frontier.clear()
-                depth = level[0][4] if level else 0
-                max_depth = max(max_depth, max(entry[4] for entry in level))
-                results = executor.map(
-                    lambda entry: expand(entry[0], entry[1], entry[2]),
-                    level,
-                    chunksize=max(1, len(level) // (threads * 4)),
-                )
-                batches = [
-                    (entry[3], entry[4], out) for entry, out in zip(level, results)
-                ]
-                frontier_extend = frontier.append
-            for key, depth, out in batches:
-                for e, x2, cons2, chk2, key2 in out:
-                    transitions += 1
-                    if key2 in visited:
-                        continue
-                    visited[key2] = (key, e)
-                    states += 1
-                    if chk2 == all_err:
-                        return finish_counterexample(key2, depth + 1)
-                    if states > max_states:
-                        return Verdict(k, INCONCLUSIVE, states, transitions, max_depth)
-                    frontier_extend((x2, cons2, chk2, key2, depth + 1))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return Verdict(k, NO_VIOLATION, states, transitions, max_depth)
+        roots.setdefault(protocol.encode_state(ps) + bytes(mk), ps)
+    found = _search(
+        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key.endswith(all_err)
+    )
+    states = len(found.parents)
+    if found.goal is None:
+        result = INCONCLUSIVE if found.exceeded else NO_VIOLATION
+        return Verdict(k, result, states, found.transitions, found.max_depth)
+    key, depth = found.goal
+    root, path = _path(found.parents, key)
+    init = roots[root]
+    run = Run(path, Params(protocol.n, protocol.m, 2))
+    trace, cycle = extract_cycle(protocol, run, init, k)
+    return Verdict(k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init)
 
 
 def check_all_k(
     protocol: MemorySystem,
     max_states: int = DEFAULT_MAX_STATES,
     search: str = "bfs",
-    threads: int = 1,
 ) -> list[Verdict]:
     """model_check for every k in 1..min(n, m), ascending."""
     return [
-        model_check(protocol, k, max_states=max_states, search=search, threads=threads)
+        model_check(protocol, k, max_states=max_states, search=search)
         for k in range(1, min(protocol.n, protocol.m) + 1)
     ]
 
 
 def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -> tuple[int, int]:
     """Reachable (states, transitions) of the bare protocol, no monitors."""
-    decode = getattr(protocol, "decode_state", None)
-    visited: set[bytes] = set()
-    frontier: deque = deque()
-    for ps in protocol.initial_states():
-        key = protocol.encode_state(ps)
-        if key not in visited:
-            visited.add(key)
-            frontier.append(key if decode is not None else ps)
-    transitions = 0
-    while frontier:
-        ps = frontier.popleft()
-        if decode is not None:
-            ps = decode(ps)
-        for _e, ps2 in protocol.successors(ps):
-            transitions += 1
-            key = protocol.encode_state(ps2)
-            if key not in visited:
-                visited.add(key)
-                if max_states is not None and len(visited) > max_states:
-                    raise ParameterError(f"protocol exceeds {max_states} states")
-                frontier.append(key if decode is not None else ps2)
-    return len(visited), transitions
+
+    def expand(key: bytes):
+        for e, ps2 in protocol.successors(protocol.decode_state(key)):
+            yield e, protocol.encode_state(ps2)
+
+    roots = [protocol.encode_state(ps) for ps in protocol.initial_states()]
+    found = _search(roots, expand, max_states)
+    if found.exceeded:
+        raise ParameterError(f"protocol exceeds {max_states} states")
+    return len(found.parents), found.transitions
 
 
 @dataclass(frozen=True)
@@ -460,57 +405,41 @@ def validate_assumptions(
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     empty_written = (frozenset(),) * protocol.m
-
-    visited: dict = {}
     roots: dict = {}
-    frontier: deque = deque()
     for ps in protocol.initial_states():
-        key = (protocol.encode_state(ps), empty_written)
-        if key not in visited:
-            visited[key] = (None, None)
-            roots[key] = ps
-            frontier.append((ps, empty_written, key, 0))
+        roots.setdefault((protocol.encode_state(ps), empty_written), ps)
+    acausal: list[tuple[tuple, MemoryEvent]] = []  # (node, read) pairs
 
-    causality: list[CausalityViolation] = []
-    edges = 0
-
-    def run_to(key, extra: Optional[Event] = None) -> tuple[Run, object]:
-        events: list[Event] = [] if extra is None else [extra]
-        while True:
-            parent, e = visited[key]
-            if parent is None:
-                root = roots[key]
-                break
-            events.append(e)
-            key = parent
-        events.reverse()
-        return Run(tuple(events), Params(protocol.n, protocol.m, protocol.v)), root
-
-    while frontier:
-        ps, written, key, d = frontier.popleft()
-        if d == depth:
-            continue
-        for e, ps2 in protocol.successors(ps):
-            edges += 1
+    def expand(node: tuple):
+        key, written = node
+        for e, ps2 in protocol.successors(protocol.decode_state(key)):
             written2 = written
             if isinstance(e, MemoryEvent) and e.data != 0:
                 values = written[e.loc - 1]
                 if e.op == READ:
-                    if e.data not in values and len(causality) < _VIOLATION_CAP:
-                        run, _root = run_to(key, extra=e)
-                        causality.append(CausalityViolation(run, len(run)))
+                    if e.data not in values and len(acausal) < _VIOLATION_CAP:
+                        acausal.append((node, e))
                 elif e.data not in values:
                     written2 = (
                         written[: e.loc - 1]
                         + (values | {e.data},)
                         + written[e.loc :]
                     )
-            key2 = (protocol.encode_state(ps2), written2)
-            if key2 not in visited:
-                visited[key2] = (key, e)
-                frontier.append((ps2, written2, key2, d + 1))
+            yield e, (protocol.encode_state(ps2), written2)
 
-    keys = list(visited)
+    found = _search(roots, expand, None, depth_limit=depth)
+
+    def run_to(node: tuple, *extra: Event) -> tuple[Run, object]:
+        root, events = _path(found.parents, node)
+        run = Run(events + extra, Params(protocol.n, protocol.m, protocol.v))
+        return run, roots[root]
+
+    causality = []
+    for node, e in acausal:
+        run, _root = run_to(node, e)
+        causality.append(CausalityViolation(run, len(run)))
+
+    keys = list(found.parents)
     stride = max(1, len(keys) // run_samples) if run_samples > 0 else len(keys) + 1
     sampled = keys[::stride][:run_samples]
     proc_perms = [p for p in permutations(range(1, protocol.n + 1))][1:][:max_perms]
@@ -534,8 +463,8 @@ def validate_assumptions(
                         )
     return AssumptionReport(
         depth=depth,
-        nodes=len(visited),
-        edges=edges,
+        nodes=len(found.parents),
+        edges=found.transitions,
         causality_violations=tuple(causality),
         runs_sampled=len(sampled),
         symmetry_checks=checks,

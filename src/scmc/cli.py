@@ -7,14 +7,16 @@ protocol), validate-assumptions (bounded causality/symmetry validation).
 
 Exit codes are a stable contract: 0 = verified / consistent / clean,
 1 = violation found, 2 = undecided (state or size bound hit, or analysis
-skipped for an out-of-scope trace), 3 = usage or parse error.
+skipped for an out-of-scope trace), 3 = usage or parse error, 4 = internal
+failure (a produced certificate failed verification, or the protocol proved
+not data independent).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -28,12 +30,12 @@ from .checker import (
     validate_assumptions,
 )
 from .errors import (
-    FormatError,
+    DataIndependenceError,
     OracleBoundError,
     ParameterError,
-    PreconditionError,
     ReplayError,
     ScmcError,
+    SoundnessError,
 )
 from .events import (
     Event,
@@ -59,6 +61,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -72,23 +75,11 @@ class Config:
     queue_bound: int = DEFAULT_QUEUE_BOUND
     max_states: int = DEFAULT_MAX_STATES
     search: str = "bfs"
-    threads: int = 1
     format: str = "text"
     output: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "queue_bound": self.queue_bound,
-            "max_states": self.max_states,
-            "search": self.search,
-            "threads": self.threads,
-            "format": self.format,
-            "output": self.output,
-        }
+        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,17 +145,10 @@ def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
         if not 1 <= int(config.k) <= k_max:
             raise ParameterError(f"k {config.k} outside 1..{k_max}")
         ks = [int(config.k)]
-    verdicts: list[Verdict] = []
-    for k in ks:
-        verdicts.append(
-            model_check(
-                protocol,
-                k,
-                max_states=config.max_states,
-                search=config.search,
-                threads=config.threads,
-            )
-        )
+    verdicts: list[Verdict] = [
+        model_check(protocol, k, max_states=config.max_states, search=config.search)
+        for k in ks
+    ]
     results = [v.result for v in verdicts]
     if COUNTEREXAMPLE in results:
         overall, code = "violation", EXIT_VIOLATION
@@ -434,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-bound", type=int, default=DEFAULT_QUEUE_BOUND)
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--search", choices=("bfs", "dfs"), default="bfs")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--emit-run", metavar="PATH", default=None,
                    help="write the first counterexample run to PATH as JSON lines")
     p.add_argument("--print-config", action="store_true",
@@ -495,7 +478,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 queue_bound=args.queue_bound,
                 max_states=args.max_states,
                 search=args.search,
-                threads=args.threads,
                 format=args.format,
                 output=args.output,
             )
@@ -530,9 +512,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.output,
             )
         raise ParameterError(f"unknown command {args.command!r}")
-    except (ParameterError, FormatError, PreconditionError) as exc:
+    except (SoundnessError, DataIndependenceError) as exc:
         print(f"scmc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTERNAL
     except ScmcError as exc:
         print(f"scmc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
-from .events import READ, WRITE, MemoryEvent, Trace
+from .events import WRITE, MemoryEvent, Trace
 
 A = "a"
 B = "b"

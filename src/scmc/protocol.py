@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DataIndependenceError,
@@ -79,8 +79,34 @@ def _flatten(obj, out: bytearray) -> None:
         raise ParameterError(f"cannot encode {obj!r}")
 
 
+def _unflatten(key: bytes, pos: int):
+    """The object _flatten wrote at key[pos], and the position after it."""
+    tag = key[pos]
+    if tag < 240:
+        return tag, pos + 1
+    if tag == 251:
+        return None, pos + 1
+    if tag == 252 and pos + 9 <= len(key):
+        return int.from_bytes(key[pos + 1 : pos + 9], "little", signed=True), pos + 9
+    if tag == 253:
+        length, pos = _unflatten(key, pos + 1)
+        if isinstance(length, int) and length >= 0:
+            items = []
+            for _ in range(length):
+                item, pos = _unflatten(key, pos)
+                items.append(item)
+            return tuple(items), pos
+    raise ParameterError("malformed state key")
+
+
 class MemorySystem(ABC):
-    """A finite transition system over the shared event alphabet."""
+    """A finite transition system over the shared event alphabet.
+
+    Searches keep states as the bytes of encode_state and rebuild them with
+    decode_state, so the two must be inverse: decode_state(encode_state(s))
+    equals s.  The base-class pair packs states that are nested tuples of
+    ints and None; a system with other states overrides both.
+    """
 
     n: int
     m: int
@@ -107,6 +133,16 @@ class MemorySystem(ABC):
         out = bytearray()
         _flatten(state, out)
         return bytes(out)
+
+    def decode_state(self, key: bytes):
+        """The state that encode_state packed into `key`."""
+        try:
+            state, pos = _unflatten(key, 0)
+        except IndexError:
+            raise ParameterError("malformed state key") from None
+        if pos != len(key):
+            raise ParameterError("malformed state key")
+        return state
 
     def permute_state(self, state, kind: str, perm: Sequence[int]):
         raise NotImplementedError(f"{type(self).__name__} does not support symmetry")

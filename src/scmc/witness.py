@@ -44,25 +44,11 @@ def expanded_order(
     """
     if not 1 <= loc <= trace.params.m:
         raise ParameterError(f"loc {loc} outside 1..{trace.params.m}")
-    _require_unambiguous_causal(trace)
-    events = trace.events
-    idxs = loc_indices(trace, loc)
-    # unambiguity makes the value -> write map single-valued
-    source = {events[w - 1].data: w for w in write_indices(trace, loc)}
-    pairs = set()
-    for x in idxs:
-        ex = events[x - 1]
-        for y in idxs:
-            ey = events[y - 1]
-            if ex.data == ey.data and ex.op == WRITE and ey.op == READ:
-                pairs.add((x, y))
-            if ex.data == 0 and ey.data != 0:
-                pairs.add((x, y))
-            if ex.data != 0 and ey.data != 0:
-                a, b = source.get(ex.data), source.get(ey.data)
-                if a is not None and b is not None and witness.precedes(trace, loc, a, b):
-                    pairs.add((x, y))
-    return frozenset(pairs)
+    graph = build_constraint_graph(trace, witness)
+    members = graph.loc_members[loc]
+    return frozenset(
+        (x, y) for x in members for y in members if graph._loc_pair(loc, x, y)
+    )
 
 
 @dataclass(frozen=True)

@@ -87,37 +87,37 @@ class TestModelCheck:
         p = make_protocol("piranha-buggy", 2, 2, 2)
         assert model_check(p, 2) == model_check(p, 2)
 
-    def test_threads_same_verdict(self):
-        p = make_protocol("piranha-buggy", 2, 2, 2)
-        serial = model_check(p, 2)
-        parallel = model_check(p, 2, threads=4)
-        assert parallel.result == serial.result
-        assert_valid_counterexample(p, parallel)
-        assert parallel == serial
-
-    def test_threads_no_violation(self):
-        p = make_protocol("piranha", 2, 2, 1)
-        serial = model_check(p, 2)
-        parallel = model_check(p, 2, threads=3)
-        assert (serial.result, serial.states, serial.transitions) == (
-            parallel.result,
-            parallel.states,
-            parallel.transitions,
-        )
-
     def test_dfs_also_finds_violation(self):
         p = make_protocol("piranha-buggy", 2, 2, 2)
         v = model_check(p, 1, search="dfs")
         assert_valid_counterexample(p, v)
         # DFS runs are long; the extracted cycle must still verify
         assert len(v.run.events) > 12
+        assert (v.states, v.transitions, v.max_depth) == (61792, 414450, 251)
 
     def test_max_states_inconclusive(self):
         p = make_protocol("piranha-buggy", 2, 2, 3)
-        v = model_check(p, 2, max_states=100)
-        assert v.result == INCONCLUSIVE
-        assert v.states > 100
-        assert v.run is None and v.cycle is None
+        for search, counts in (("bfs", (101, 279, 2)), ("dfs", (101, 185, 20))):
+            v = model_check(p, 2, max_states=100, search=search)
+            assert v.result == INCONCLUSIVE
+            assert (v.states, v.transitions, v.max_depth) == counts
+            assert v.run is None and v.cycle is None
+
+    @pytest.mark.parametrize("search", ["bfs", "dfs"])
+    @pytest.mark.parametrize(
+        "n, m, k, counts",
+        [
+            (2, 2, 1, (3, 19, 2)),
+            (2, 2, 2, (31, 198, 6)),
+            (3, 2, 1, (3, 25, 2)),
+            (3, 2, 2, (31, 260, 6)),
+        ],
+    )
+    def test_generic_state_encoding(self, n, m, k, counts, search):
+        # the fixture has plain tuple states, packed by the base-class encoding
+        v = model_check(PrivilegedWriterProtocol(n, m), k, search=search)
+        assert v.result == NO_VIOLATION
+        assert (v.states, v.transitions, v.max_depth) == counts
 
     def test_parameter_validation(self):
         p = make_protocol("piranha", 2, 2, 1)
@@ -129,8 +129,6 @@ class TestModelCheck:
             model_check(p, 1, search="sideways")
         with pytest.raises(ParameterError):
             model_check(p, 1, max_states=0)
-        with pytest.raises(ParameterError):
-            model_check(p, 1, threads=0)
         wrong_v = make_protocol("piranha", 2, 2, 1, v=1)
         with pytest.raises(ParameterError):
             model_check(wrong_v, 1)
@@ -192,10 +190,12 @@ class TestExtractCycle:
 
 class TestExploreProtocol:
     def test_counts(self):
-        p = make_protocol("piranha", 2, 2, 1)
-        states, transitions = explore_protocol(p)
-        assert states > 100
-        assert transitions > states
+        for name, q, counts in (
+            ("piranha", 1, (5382, 37944)),
+            ("piranha", 2, (11898, 75852)),
+            ("piranha-buggy", 1, (35370, 312480)),
+        ):
+            assert explore_protocol(make_protocol(name, 2, 2, q)) == counts
 
     def test_cap(self):
         p = make_protocol("piranha", 2, 2, 1)
@@ -210,6 +210,11 @@ class TestValidateAssumptions:
         assert report.ok
         assert report.nodes > 0 and report.edges > 0
         assert report.symmetry_checks > 0
+        for name, nodes, edges in (("piranha", 2142, 7652), ("piranha-buggy", 3178, 9604)):
+            report = validate_assumptions(make_protocol(name, 2, 2, 3), depth=6)
+            assert report.ok
+            assert (report.nodes, report.edges) == (nodes, edges)
+            assert (report.runs_sampled, report.symmetry_checks) == (200, 400)
 
     def test_depth_zero_empty(self):
         p = make_protocol("piranha", 2, 2, 2)
@@ -224,12 +229,19 @@ class TestValidateAssumptions:
         assert len(report.symmetry_violations) >= 1
         assert all(v.kind == "proc" for v in report.symmetry_violations)
         assert not report.causality_violations
+        report = validate_assumptions(fixture, depth=4)
+        assert (report.nodes, report.edges) == (55, 350)
+        assert len(report.symmetry_violations) == 20
 
     def test_acausal_fixture_flagged(self):
         fixture = HallucinatingReadProtocol()
         report = validate_assumptions(fixture, depth=2)
         assert len(report.causality_violations) >= 1
         assert not report.symmetry_violations
+        report = validate_assumptions(fixture, depth=3)
+        assert (report.nodes, report.edges) == (1, 2)
+        assert len(report.causality_violations) == 1
+        assert report.causality_violations[0].run.events == (R(1, 1, 1),)
 
     def test_report_json(self):
         fixture = PrivilegedWriterProtocol()

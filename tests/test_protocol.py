@@ -19,6 +19,7 @@ from scmc import (
     replay_unambiguous,
 )
 from scmc.protocol import EXC, INV, SHD, at_most_one_exclusive
+from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -255,6 +256,23 @@ class TestStateEncoding:
         key = p.encode_state(p.initial_state((1, 1)))
         with pytest.raises(ParameterError):
             p.decode_state(key + b"\x00")
+
+    def test_generic_decode_inverts_encode(self):
+        # fixture states and values that take the escape tags of the packing
+        states = [HallucinatingReadProtocol().initial_states()[0]]
+        fixture = PrivilegedWriterProtocol(3, 2)
+        for state in fixture.initial_states():
+            states.extend(s for _e, s in fixture.successors(state))
+        states.append((None, (240, -1), ((), 2**40)))
+        for state in states:
+            assert fixture.decode_state(fixture.encode_state(state)) == state
+
+    def test_generic_decode_rejects_malformed_key(self):
+        fixture = PrivilegedWriterProtocol()
+        key = fixture.encode_state((1, (2, 300)))
+        for bad in (key + b"\x00", key[:-1], key[:3], b"", b"\xfe", b"\xfd\xfb"):
+            with pytest.raises(ParameterError):
+                fixture.decode_state(bad)
 
 
 class TestSymmetry:
