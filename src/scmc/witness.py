@@ -7,12 +7,14 @@ Acyclicity of this graph certifies sequential consistency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property, cmp_to_key
+from typing import Iterable, Iterator, Optional
 
 from .analysis import is_causal, is_unambiguous
 from .errors import ParameterError, PreconditionError
-from .events import READ, WRITE, Trace, loc_indices, write_indices
+from .events import READ, WRITE, Trace
 
 
 class SimpleWitness:
@@ -47,7 +49,7 @@ def expanded_order(
     graph = build_constraint_graph(trace, witness)
     members = graph.loc_members[loc]
     return frozenset(
-        (x, y) for x in members for y in members if graph._loc_pair(loc, x, y)
+        (x, y) for x in members for y in members if graph._loc_pair(x, y)
     )
 
 
@@ -55,19 +57,32 @@ def expanded_order(
 class ConstraintGraph:
     """Vertices are 1..len(trace); edges are program order plus expanded order.
 
-    Program-order edges are kept implicit: (u, v) is a processor edge iff the
-    two events share a processor and u < v.  Location edges are evaluated on
-    demand from the per-location write sources, never materialized: traces
-    extracted from deep searches can make the pair relation quadratically
-    large while consumers only probe a handful of memberships.  For cycle
-    search, per-processor successor chains are enough since a transitive
-    processor edge never creates a cycle the chain does not already give.
+    Both kinds of edge are implicit.  (u, v) is a processor edge iff the two
+    events share a processor and u < v.  For location edges every event has
+    a rank: 0 if it carries data 0, else i when its value is that of the
+    i-th write to its location in witness order.  Its level is twice its
+    rank, plus one for a read.  The expanded order of a location is then
+    exactly level(x) < level(y): lower rank first, and within a rank the
+    write before the reads of its value.  `build_constraint_graph` ranks
+    the events in one pass, and an edge query is an integer compare.
+
+    `successors` gives the transitive reduction: each event's next event on
+    its processor and, at its location, a read's next write (the first
+    write for a read of 0) or a write's readers and next write.  It has the
+    reachability of the full graph and at most 3 * len(trace) edges.  The
+    indexes that it and the nice-cycle search use are built on first use,
+    once per graph, so callers that only query edge labels never pay for
+    them.
     """
 
     trace: Trace
     witness: SimpleWitness
     loc_members: dict[int, tuple[int, ...]]
-    source: dict[int, dict[int, int]]
+    writes: dict[int, tuple[int, ...]]  # per location, in witness order
+    level: tuple[int, ...]  # level[v] for v in 1..len(trace); level[0] unused
+    _loc_succ_cache: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.trace)
@@ -78,55 +93,113 @@ class ConstraintGraph:
             return eu.proc
         return None
 
-    def _loc_pair(self, loc: int, x: int, y: int) -> bool:
-        ex, ey = self.trace.events[x - 1], self.trace.events[y - 1]
-        if ex.data == ey.data and ex.op == WRITE and ey.op == READ:
-            return True
-        if ex.data == 0 and ey.data != 0:
-            return True
-        if ex.data != 0 and ey.data != 0:
-            src = self.source[loc]
-            a, b = src.get(ex.data), src.get(ey.data)
-            if a is not None and b is not None:
-                return self.witness.precedes(self.trace, loc, a, b)
-        return False
+    def _loc_pair(self, x: int, y: int) -> bool:
+        """Expanded order on two events at the same location."""
+        return self.level[x] < self.level[y]
 
     def loc_edge_label(self, u: int, v: int) -> Optional[int]:
         loc = self.trace.events[u - 1].loc
-        if loc == self.trace.events[v - 1].loc and self._loc_pair(loc, u, v):
+        if loc == self.trace.events[v - 1].loc and self._loc_pair(u, v):
             return loc
         return None
 
+    @cached_property
+    def _next_on_proc(self) -> list[int]:
+        """The next event on each event's processor, 0 for a last one."""
+        events = self.trace.events
+        following = [0] * (len(events) + 1)
+        last: dict[int, int] = {}
+        for v in range(len(events), 0, -1):
+            proc = events[v - 1].proc
+            following[v] = last.get(proc, 0)
+            last[proc] = v
+        return following
+
+    def _later_on_proc(self, u: int) -> Iterator[int]:
+        """The events after u on u's processor, ascending."""
+        following = self._next_on_proc
+        v = following[u]
+        while v:
+            yield v
+            v = following[v]
+
+    @cached_property
+    def _proc_loc_members(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The events of each (processor, location) pair, ascending."""
+        members: dict[tuple[int, int], list[int]] = {}
+        for v, e in enumerate(self.trace.events, 1):
+            members.setdefault((e.proc, e.loc), []).append(v)
+        return {key: tuple(vs) for key, vs in members.items()}
+
+    @cached_property
+    def _readers(self) -> dict[int, list[int]]:
+        """Each write that is read, to its readers ascending."""
+        readers: dict[int, list[int]] = {}
+        level = self.level
+        for v, e in enumerate(self.trace.events, 1):
+            if e.op == READ and level[v] > 1:
+                w = self.writes[e.loc][level[v] // 2 - 1]
+                readers.setdefault(w, []).append(v)
+        return readers
+
     def successors(self, u: int) -> tuple[int, ...]:
-        succs = set()
-        e = self.trace.events[u - 1]
-        for v in range(u + 1, len(self.trace) + 1):
-            if self.trace.events[v - 1].proc == e.proc:
-                succs.add(v)  # chain successor
-                break
-        for y in self.loc_members[e.loc]:
-            if y != u and self._loc_pair(e.loc, u, y):
-                succs.add(y)
+        """u's successors in the transitive reduction, ascending."""
+        succs = list(self._readers.get(u, ()))
+        writes = self.writes[self.trace.events[u - 1].loc]
+        rank = self.level[u] // 2
+        if rank < len(writes):
+            succs.append(writes[rank])
+        chain = self._next_on_proc[u]
+        if chain:
+            succs.append(chain)
         return tuple(sorted(succs))
+
+    def _loc_successors(self, u: int) -> tuple[int, ...]:
+        """Every v with a location edge u -> v, ascending."""
+        cache = self._loc_succ_cache
+        succs = cache.get(u)
+        if succs is None:
+            level = self.level
+            low = level[u]
+            members = self.loc_members[self.trace.events[u - 1].loc]
+            succs = cache[u] = tuple(v for v in members if level[v] > low)
+        return succs
 
 
 def build_constraint_graph(
     trace: Trace, witness: SimpleWitness = SIMPLE_WITNESS
 ) -> ConstraintGraph:
     _require_unambiguous_causal(trace)
-    loc_members = {}
-    source = {}
-    for j in range(1, trace.params.m + 1):
-        loc_members[j] = loc_indices(trace, j)
-        source[j] = {trace.events[w - 1].data: w for w in write_indices(trace, j)}
-    return ConstraintGraph(trace, witness, loc_members, source)
+    events = trace.events
+    locs = range(1, trace.params.m + 1)
+    members: dict[int, list[int]] = {j: [] for j in locs}
+    writes: dict[int, list[int]] = {j: [] for j in locs}
+    for v, e in enumerate(events, 1):
+        members[e.loc].append(v)
+        if e.op == WRITE:
+            writes[e.loc].append(v)
+    rank: dict[tuple[int, int], int] = {}  # (location, value) -> rank
+    for j, ws in writes.items():
+        if len(ws) > 1:
+            order = lambda a, b: -1 if witness.precedes(trace, j, a, b) else 1
+            ws.sort(key=cmp_to_key(order))
+        for i, w in enumerate(ws, 1):
+            rank[j, events[w - 1].data] = i
+    level = (0, *[2 * rank.get((e.loc, e.data), 0) + (e.op == READ) for e in events])
+    loc_members = {j: tuple(vs) for j, vs in members.items()}
+    loc_writes = {j: tuple(ws) for j, ws in writes.items()}
+    return ConstraintGraph(trace, witness, loc_members, loc_writes, level)
 
 
 def find_cycle(graph: ConstraintGraph) -> Optional[tuple[int, ...]]:
     """Some cycle as a vertex tuple (v1, ..., vl) with vl -> v1, or None.
 
-    Iterative DFS, vertices and successors in ascending order, so the result
-    is deterministic.
+    Iterative DFS over the transitive reduction (`ConstraintGraph.successors`):
+    it has a cycle iff the full graph has one, and each step of a cycle in
+    it is an edge of the full graph.  Every vertex's successors are fetched
+    once, so the search is linear in the trace length.  Roots and successors
+    are taken in ascending order, so the result is deterministic, but it is
+    just some cycle, not a least or shortest one.
     """
     size = len(graph)
     WHITE, GREY, BLACK = 0, 1, 2
@@ -134,27 +207,20 @@ def find_cycle(graph: ConstraintGraph) -> Optional[tuple[int, ...]]:
     for root in range(1, size + 1):
         if color[root] != WHITE:
             continue
-        path: list[int] = []
-        on_path: dict[int, int] = {}
-        stack: list[tuple[int, int]] = [(root, 0)]
+        color[root] = GREY
+        path = [root]
+        stack = [iter(graph.successors(root))]
         while stack:
-            u, next_i = stack[-1]
-            if next_i == 0:
-                color[u] = GREY
-                on_path[u] = len(path)
-                path.append(u)
-            succs = graph.successors(u)
-            if next_i < len(succs):
-                stack[-1] = (u, next_i + 1)
-                v = succs[next_i]
+            for v in stack[-1]:
                 if color[v] == GREY:
-                    return tuple(path[on_path[v] :])
+                    return tuple(path[path.index(v) :])
                 if color[v] == WHITE:
-                    stack.append((v, 0))
+                    color[v] = GREY
+                    path.append(v)
+                    stack.append(iter(graph.successors(v)))
+                    break
             else:
-                color[u] = BLACK
-                path.pop()
-                del on_path[u]
+                color[path.pop()] = BLACK
                 stack.pop()
     return None
 
@@ -219,61 +285,62 @@ def find_nice_cycle(
     """Search for a k-nice cycle; deterministic, least vertex tuple first.
 
     Backtracks over the pairs (u_1, v_1), ..., (u_k, v_k) in lexicographic
-    vertex order.  locs[] is built shifted by one: the edge checked when
-    placing u_x is the one leaving v_{x-1}, and the closing edge supplies
-    the label leaving v_k, so the finished tuple has locs[x-1] labelling
-    the edge leaving v_x.
+    vertex order, enumerating only edges of the graph: u_1 is any vertex,
+    u_x for x > 1 a location successor of v_{x-1}, and v_x a later event on
+    u_x's processor.  The edge leaving v_x is labelled with v_x's location,
+    and the closing edge v_k -> u_1 makes that u_1's location.  So v_x for
+    x < k skips u_1's location and those of v_1..v_{x-1}, and v_k is taken
+    only at u_1's location with an edge into u_1.  Only choices that cannot
+    close are skipped, so the first cycle found is the least one.
     """
     params = graph.trace.params
     if not 1 <= k <= min(params.n, params.m):
         raise ParameterError(f"k {k} outside 1..{min(params.n, params.m)}")
     events = graph.trace.events
-    size = len(graph)
+    level = graph.level
+    verts: list[int] = []
+    procs: list[int] = []
+    locs: list[int] = []  # locs[x-1] is the location of v_x
 
-    def extend(
-        x: int, verts: list[int], procs: list[int], locs: list[int]
-    ) -> Optional[NiceCycle]:
-        if x > k:
-            # close the cycle: location edge from v_k back to u_1
-            label = graph.loc_edge_label(verts[-1], verts[0])
-            if label is None or label in locs:
-                return None
-            if canonical_only and label != 1:
-                return None
-            all_procs, all_locs = tuple(procs), tuple(locs + [label])
-            return NiceCycle(
-                tuple(verts), all_procs, all_locs, _is_canonical(all_procs, all_locs)
-            )
-        used = set(verts)
-        for u in range(1, size + 1):
-            if u in used:
+    def extend(x: int, candidates: Iterable[int]) -> Optional[NiceCycle]:
+        for u in candidates:
+            proc = events[u - 1].proc
+            if proc in procs or (canonical_only and proc != x):
                 continue
-            i = events[u - 1].proc
-            if i in procs or (canonical_only and i != x):
+            first = verts[0] if verts else u
+            home = events[first - 1].loc
+            if canonical_only and home != 1:
                 continue
-            if x > 1:
-                label = graph.loc_edge_label(verts[-1], u)
-                if label is None or label in locs:
+            if x == k:
+                column = graph._proc_loc_members.get((proc, home), ())
+                for v in column[bisect_right(column, u) :]:
+                    if level[v] < level[first]:
+                        all_procs, all_locs = (*procs, proc), (*locs, home)
+                        return NiceCycle(
+                            (*verts, u, v),
+                            all_procs,
+                            all_locs,
+                            _is_canonical(all_procs, all_locs),
+                        )
+                continue
+            verts.append(u)
+            procs.append(proc)
+            for v in graph._later_on_proc(u):
+                loc = events[v - 1].loc
+                if loc == home or loc in locs or (canonical_only and loc != x + 1):
                     continue
-                if canonical_only and label != x:
-                    continue
-            for v in range(u + 1, size + 1):
-                if v in used or events[v - 1].proc != i:
-                    continue
-                verts.extend((u, v))
-                procs.append(i)
-                if x > 1:
-                    locs.append(label)
-                found = extend(x + 1, verts, procs, locs)
+                verts.append(v)
+                locs.append(loc)
+                found = extend(x + 1, graph._loc_successors(v))
                 if found is not None:
                     return found
-                del verts[-2:]
-                procs.pop()
-                if x > 1:
-                    locs.pop()
+                verts.pop()
+                locs.pop()
+            verts.pop()
+            procs.pop()
         return None
 
-    return extend(1, [], [], [])
+    return extend(1, range(1, len(graph) + 1))
 
 
 def find_minimal_nice_cycle(graph: ConstraintGraph) -> Optional[NiceCycle]:

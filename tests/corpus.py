@@ -57,12 +57,16 @@ def synthetic_trace(rng: random.Random) -> Trace:
     return Trace(tuple(filled), Params(n, m, v))
 
 
-def walk_trace(rng: random.Random, protocol, roots) -> Trace:
+def walk_trace(
+    rng: random.Random, protocol, roots, memory_events: int = MAX_LEN, max_steps: int = 40
+) -> Trace:
+    """Unambiguous trace of a uniform random walk of protocol from one of
+    roots, stopping after memory_events memory events or max_steps steps."""
     root = roots[rng.randrange(len(roots))]
     state = root
     events = []
     memory = 0
-    for _ in range(40):
+    for _ in range(max_steps):
         succ = protocol.successors(state)
         if not succ:
             break
@@ -70,7 +74,7 @@ def walk_trace(rng: random.Random, protocol, roots) -> Trace:
         events.append(e)
         if isinstance(e, MemoryEvent):
             memory += 1
-            if memory >= MAX_LEN:
+            if memory >= memory_events:
                 break
     run = Run(tuple(events), Params(protocol.n, protocol.m, protocol.v))
     return replay_unambiguous(protocol, run, root)

@@ -13,6 +13,7 @@ from scmc import (
     Run,
     Trace,
     WRITE,
+    build_constraint_graph,
     dumps_jsonl,
     loads_run_jsonl,
 )
@@ -28,6 +29,7 @@ from scmc.cli import (
     main,
 )
 from fixtures import HallucinatingReadProtocol
+from reference_witness import is_cycle_of
 
 W = lambda i, j, d: MemoryEvent(WRITE, i, j, d)
 R = lambda i, j, d: MemoryEvent(READ, i, j, d)
@@ -178,7 +180,7 @@ class TestAnalyze:
         code, payload = run_json(capsys, ["analyze", path])
         assert code == EXIT_VIOLATION
         assert payload["analysis"] == "cyclic"
-        assert payload["cycle_vertices"]
+        assert is_cycle_of(build_constraint_graph(VIOLATION4), payload["cycle_vertices"])
         assert payload["nice_cycle"] == {
             "k": 2,
             "vertices": [1, 2, 3, 4],
@@ -193,6 +195,13 @@ class TestAnalyze:
         code, payload = run_json(capsys, ["analyze", path])
         assert code == EXIT_VIOLATION
         assert payload["nice_cycle"]["k"] == 1
+
+    def test_long_acyclic_trace(self, long_walk, tmp_path, capsys):
+        path = write_jsonl(tmp_path, "long.jsonl", long_walk)
+        code, payload = run_json(capsys, ["analyze", path])
+        assert code == EXIT_OK
+        assert payload["analysis"] == "acyclic"
+        assert payload["events"] == 10_000
 
     def test_ambiguous_skipped(self, tmp_path, capsys):
         trace = Trace((W(1, 1, 1), W(2, 1, 1)), Params(2, 1, 1))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmc import (
@@ -19,7 +19,9 @@ from scmc import (
 )
 from scmc.errors import ParameterError
 from scmc.events import loc_indices, proc_indices
-from strategies import permutations_of, unambiguous_causal_traces
+from scmc.witness import ConstraintGraph
+from reference_witness import NaiveGraph, is_cycle_of
+from strategies import analyzable_traces, permutations_of, unambiguous_causal_traces
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -153,6 +155,59 @@ class TestFindCycle:
         cyc = find_cycle(build_constraint_graph(t))
         assert cyc is not None
         assert sorted(cyc) == [1, 2]
+
+    @given(analyzable_traces())
+    def test_cycle_is_a_cycle_of_the_full_graph(self, trace):
+        g = build_constraint_graph(trace)
+        cyc = find_cycle(g)
+        assert cyc is None or is_cycle_of(g, cyc)
+
+
+class TestLinearWork:
+    def test_find_cycle_fetches_each_vertex_once(self, long_walk, monkeypatch):
+        fetched = {}
+        original = ConstraintGraph.successors
+
+        def successors(graph, u):
+            assert u not in fetched, f"successors of {u} fetched twice"
+            fetched[u] = original(graph, u)
+            return fetched[u]
+
+        monkeypatch.setattr(ConstraintGraph, "successors", successors)
+        assert len(long_walk) == 10_000
+        assert find_cycle(build_constraint_graph(long_walk)) is None
+        assert sorted(fetched) == list(range(1, len(long_walk) + 1))
+        assert sum(len(s) for s in fetched.values()) <= 3 * len(long_walk)
+
+
+class TestAgainstReference:
+    """Every result must equal the naive reference's (tests/reference_witness.py)."""
+
+    @settings(max_examples=300)
+    @given(analyzable_traces())
+    def test_edge_labels(self, trace):
+        g, ref = build_constraint_graph(trace), NaiveGraph(trace)
+        size = len(trace)
+        for u in range(1, size + 1):
+            for v in range(1, size + 1):
+                assert g.loc_edge_label(u, v) == ref.loc_edge_label(u, v)
+        for j in range(1, trace.params.m + 1):
+            members = loc_indices(trace, j)
+            assert expanded_order(trace, j) == {
+                (x, y) for x in members for y in members if ref.loc_pair(x, y)
+            }
+
+    @settings(max_examples=300)
+    @given(analyzable_traces())
+    def test_cycle_searches(self, trace):
+        g, ref = build_constraint_graph(trace), NaiveGraph(trace)
+        for k in range(1, min(trace.params.n, trace.params.m) + 1):
+            for canonical_only in (False, True):
+                assert find_nice_cycle(g, k, canonical_only) == ref.find_nice_cycle(
+                    k, canonical_only
+                )
+        assert find_minimal_nice_cycle(g) == ref.find_minimal_nice_cycle()
+        assert (find_cycle(g) is not None) == ref.has_cycle()
 
 
 class TestNiceCycle:
