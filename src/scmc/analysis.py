@@ -12,7 +12,7 @@ from itertools import permutations
 from typing import Optional
 
 from .errors import OracleBoundError, ParameterError, SoundnessError
-from .events import READ, WRITE, Trace, proc_indices, write_indices
+from .events import READ, WRITE, Trace, proc_indices
 
 ORACLE_BOUND_DEFAULT = 10
 PERMUTATION_ENGINE_BOUND = 8
@@ -20,13 +20,12 @@ PERMUTATION_ENGINE_BOUND = 8
 
 def is_unambiguous(trace: Trace) -> bool:
     """Per location, all writes carry pairwise distinct nonzero values."""
-    for j in range(1, trace.params.m + 1):
-        seen: set[int] = set()
-        for x in write_indices(trace, j):
-            d = trace.events[x - 1].data
-            if d == 0 or d in seen:
+    seen: set[tuple[int, int]] = set()
+    for e in trace.events:
+        if e.op == WRITE:
+            if e.data == 0 or (e.loc, e.data) in seen:
                 return False
-            seen.add(d)
+            seen.add((e.loc, e.data))
     return True
 
 

@@ -9,6 +9,8 @@ without reaching one means no such cycle exists at this k.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from .monitors import (
     check_step,
     constrain_step,
 )
-from .protocol import MemorySystem, replay, replay_unambiguous, permute_run
+from .protocol import MemorySystem, _Memo, replay, replay_unambiguous, permute_run
 from .witness import NiceCycle, build_constraint_graph, verify_nice_cycle
 
 DEFAULT_MAX_STATES = 50_000_000
@@ -116,6 +118,37 @@ def _monitor_steps(e: Event, m: int, k: int) -> tuple:
     return tuple(steps)
 
 
+class _MonitorTable(dict):
+    """Monitor bytes -> monitor bytes after one event, filled on first use.
+
+    The value is None where a constraint blocks the event; otherwise it is
+    interned through `interned`, a _Memo that maps each key to the first
+    equal key looked up, so monitors that do not move map to the very bytes
+    they came from.
+    """
+
+    __slots__ = ("steps", "interned")
+
+    def __init__(self, steps: tuple, interned: dict):
+        super().__init__()
+        self.steps = steps
+        self.interned = interned
+
+    def __missing__(self, mon: bytes) -> Optional[bytes]:
+        mon2 = mon
+        for pos, targets in self.steps:
+            phase = targets[mon2[pos]]
+            if phase is None:
+                mon2 = None
+                break
+            if phase != mon2[pos]:
+                mon2 = mon2[:pos] + _PHASE_BYTES[phase] + mon2[pos + 1 :]
+        if mon2 is not None:
+            mon2 = self.interned[mon2]
+        self[mon] = mon2
+        return mon2
+
+
 def extract_cycle(
     protocol: MemorySystem, run: Run, initial_state, k: int
 ) -> tuple[Trace, NiceCycle]:
@@ -159,6 +192,29 @@ def extract_cycle(
     if not verify_nice_cycle(graph, cycle):
         raise SoundnessError(f"extracted cycle {cycle} is not a cycle of the replay graph")
     return trace, cycle
+
+
+def _gc_paused(fn):
+    """Run fn with the cyclic garbage collector paused.
+
+    A search allocates millions of tuples and bytes, and the collector would
+    keep re-walking the growing visited map.  Nothing on the search path
+    forms a reference cycle, so reference counting alone frees it all; the
+    maps are gone when fn returns, before the collector resumes.  The
+    collector is resumed only if it was running before.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 class _Search(NamedTuple):
@@ -221,6 +277,7 @@ def _path(parents: dict, key) -> tuple[object, tuple[Event, ...]]:
     return key, tuple(reversed(events))
 
 
+@_gc_paused
 def model_check(
     protocol: MemorySystem,
     k: int,
@@ -244,50 +301,52 @@ def model_check(
     if max_states < 1:
         raise ParameterError(f"max_states must be >= 1, got {max_states}")
 
-    # A product key is the packed protocol state followed by one phase byte
-    # per location constraint and one per processor check.  States travel
+    # A product key is a pair: the packed protocol state, and the monitor
+    # bytes, one phase byte per location constraint and per processor check
+    # (_PHASES, indexed as in _monitor_steps).  States travel
     # through the search as these bytes and are rebuilt on demand: deep
     # searches then cost key bytes per state instead of a retained object
-    # tree, and the successor cache stays bounded.
+    # tree, and the successor cache stays bounded.  Both halves are interned
+    # through one dict, so equal halves are one object whose hash is
+    # computed once.
     m = protocol.m
-    mk = m + k
     all_err = bytes((2,)) * k
-    events: dict[Event, tuple] = {}  # interned event -> (event, monitor steps)
+    interned = _Memo(lambda key: key)
     succ_cache: dict[bytes, tuple] = {}
+    successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
+
+    def monitor_table(e: Event) -> Optional[_MonitorTable]:
+        steps = _monitor_steps(e, m, k)
+        return _MonitorTable(steps, interned) if steps else None
+
+    tables = _Memo(monitor_table)  # event -> its monitor table; None: moves none
 
     def successors_of(x: bytes) -> tuple:
-        s = succ_cache.get(x)
-        if s is None:
-            if len(succ_cache) >= _SUCC_CACHE_MAX:
-                succ_cache.clear()
-            out = []
-            for e, ps2 in protocol.successors(protocol.decode_state(x)):
-                entry = events.get(e)
-                if entry is None:
-                    entry = events[e] = (e, _monitor_steps(e, m, k))
-                out.append((*entry, protocol.encode_state(ps2)))
-            s = succ_cache[x] = tuple(out)
-        return s
+        if len(succ_cache) >= _SUCC_CACHE_MAX:
+            succ_cache.clear()
+        succ = succ_cache[x] = tuple(
+            [(e, tables[e], interned[encode(ps2)]) for e, ps2 in successors(decode(x))]
+        )
+        return succ
 
-    def expand(key: bytes):
-        cut = len(key) - mk
-        mon = key[cut:]
-        for e, steps, x2 in successors_of(key[:cut]):
-            mon2 = mon
-            for pos, targets in steps:
-                phase = targets[mon2[pos]]
-                if phase is None:
-                    break  # the constraint blocks this write
-                if phase != mon2[pos]:
-                    mon2 = mon2[:pos] + _PHASE_BYTES[phase] + mon2[pos + 1 :]
-            else:
-                yield e, x2 + mon2
+    def expand(key: tuple):
+        x, mon = key
+        succ = succ_cache.get(x)
+        if succ is None:
+            succ = successors_of(x)
+        for e, table, x2 in succ:
+            mon2 = mon if table is None else table[mon]
+            if mon2 is None:
+                continue  # a constraint blocks this write
+            # a self-loop (a read that moves no monitor) returns key itself
+            yield e, key if x2 is x and mon2 is mon else (x2, mon2)
 
-    roots: dict[bytes, object] = {}
+    start = interned[bytes(m + k)]
+    roots: dict[tuple, object] = {}
     for ps in protocol.initial_states():
-        roots.setdefault(protocol.encode_state(ps) + bytes(mk), ps)
+        roots.setdefault((interned[encode(ps)], start), ps)
     found = _search(
-        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key.endswith(all_err)
+        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key[1].endswith(all_err)
     )
     states = len(found.parents)
     if found.goal is None:
@@ -313,6 +372,7 @@ def check_all_k(
     ]
 
 
+@_gc_paused
 def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -> tuple[int, int]:
     """Reachable (states, transitions) of the bare protocol, no monitors."""
 
@@ -386,6 +446,7 @@ class AssumptionReport:
 _VIOLATION_CAP = 20
 
 
+@_gc_paused
 def validate_assumptions(
     protocol: MemorySystem,
     depth: int = 10,

@@ -15,6 +15,7 @@ to a full queue is disabled, never an error.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -148,10 +149,47 @@ class MemorySystem(ABC):
         raise NotImplementedError(f"{type(self).__name__} does not support symmetry")
 
 
-def _set_cache(cache, i: int, j: int, entry):
-    row = cache[i - 1]
-    row = row[: j - 1] + (entry,) + row[j:]
-    return cache[: i - 1] + (row,) + cache[i:]
+# a PiranhaState built without the Python-level NamedTuple constructor
+_new_state = partial(tuple.__new__, PiranhaState)
+
+
+def _set_entry(cache, i: int, j: int, entry):
+    """cache with the entry of 0-based processor i and location j replaced."""
+    row = cache[i]
+    return cache[:i] + (row[:j] + (entry,) + row[j + 1 :],) + cache[i + 1 :]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _pack_row(row) -> bytes:
+    return bytes([x for entry in row for x in entry])
+
+
+def _pack_queue(queue) -> bytes:
+    out = [len(queue)]
+    for kind, addr, data in queue:
+        out += (kind, addr, 0 if data is None else data)
+    return bytes(out)
+
+
+def _unpack_queue(key: bytes) -> tuple[Msg, ...]:
+    queue = []
+    for pos in range(1, 1 + 3 * key[0], 3):
+        kind, addr, data = key[pos], key[pos + 1], key[pos + 2]
+        queue.append(Msg(kind, addr, None if kind == INVAL_MSG else data))
+    return tuple(queue)
 
 
 class PiranhaProtocol(MemorySystem):
@@ -171,6 +209,28 @@ class PiranhaProtocol(MemorySystem):
         self.n, self.m, self.v = params.n, params.m, params.v
         self.queue_bound = queue_bound
         self.buggy = buggy
+        # Events and messages are built once here; the tables are indexed by
+        # 0-based processor and location, and reads and writes by data too.
+        procs, locs, data = range(1, n + 1), range(1, m + 1), range(v + 1)
+        self._reads = tuple(
+            tuple(tuple(MemoryEvent(READ, i, j, d) for d in data) for j in locs) for i in procs
+        )
+        self._writes = tuple(
+            tuple(tuple((MemoryEvent(WRITE, i, j, d), (d, EXC)) for d in data) for j in locs)
+            for i in procs
+        )
+        self._ackx = tuple(tuple(InternalEvent("ACKX", (i, j)) for j in locs) for i in procs)
+        self._acks = tuple(tuple(InternalEvent("ACKS", (i, j)) for j in locs) for i in procs)
+        self._upd = tuple(InternalEvent("UPD", (i,)) for i in procs)
+        self._msgs = _Memo(lambda key: Msg(*key))  # (kind, addr, data) -> Msg
+        # encode_state and decode_state translate rows and queues through these
+        self._row_keys = _Memo(_pack_row)
+        self._queue_keys = _Memo(_pack_queue)
+        self._rows = _Memo(lambda key: tuple((key[2 * j], key[2 * j + 1]) for j in range(m)))
+        self._queues = _Memo(_unpack_queue)
+        # the last state decode_state built, with its key: a read's successor
+        # is that very object, so encoding it needs no work
+        self._decoded: tuple = (None, b"")
 
     # -- states -------------------------------------------------------------
 
@@ -191,75 +251,85 @@ class PiranhaProtocol(MemorySystem):
 
     # -- guards -------------------------------------------------------------
 
-    def _ackx_recipients(self, state: PiranhaState, i: int, j: int) -> list[int]:
-        # the old owner never receives INVAL: it is invalidated directly,
-        # or it is the requester itself
-        old = state.owner[j - 1]
-        recips = []
-        for p in range(1, self.n + 1):
-            if p == i:
-                recips.append(p)
-            elif p != old and state.cache[p - 1][j - 1][1] != INV:
-                recips.append(p)
-        return recips
+    def _grants(self, state: PiranhaState) -> tuple[list, list]:
+        """The enabled ACKX and the enabled ACKS events, as 0-based (i, j)
+        pairs ascending in (i, j).
 
-    def _ackx_enabled(self, state: PiranhaState, i: int, j: int) -> bool:
-        if state.cache[i - 1][j - 1][1] == EXC or state.owner[j - 1] == 0:
-            return False
-        q = self.queue_bound
-        return all(
-            len(state.inq[p - 1]) < q for p in self._ackx_recipients(state, i, j)
-        )
+        Both need owner[j] != 0 and room in the requester's queue.  ACKX(i, j)
+        also needs i not EXC and room in the queue of every other sharer of j
+        except the old owner, which is invalidated directly; ACKS(i, j) needs
+        i INV.
+        """
+        cache, owner, inq = state
+        bound = self.queue_bound
+        full = [len(queue) >= bound for queue in inq]
+        # ACKX at j is blocked when j has no owner, or when a sharer of j
+        # other than the old owner has a full queue
+        if True in full:
+            blocked = [
+                not old
+                or any(
+                    f and row[j][1] != INV and p != old
+                    for p, (f, row) in enumerate(zip(full, cache), 1)
+                )
+                for j, old in enumerate(owner)
+            ]
+        else:
+            blocked = [not old for old in owner]
+        ackx, acks = [], []
+        for i, row in enumerate(cache):
+            if full[i]:
+                continue
+            for j, (_d, s) in enumerate(row):
+                if s != EXC and not blocked[j]:
+                    ackx.append((i, j))
+                if s == INV and owner[j]:
+                    acks.append((i, j))
+        return ackx, acks
 
-    def _acks_enabled(self, state: PiranhaState, i: int, j: int) -> bool:
-        return (
-            state.cache[i - 1][j - 1][1] == INV
-            and state.owner[j - 1] != 0
-            and len(state.inq[i - 1]) < self.queue_bound
-        )
-
-    # -- bodies -------------------------------------------------------------
+    # -- bodies (0-based processor and location) -----------------------------
 
     def _do_ackx(self, state: PiranhaState, i: int, j: int) -> PiranhaState:
         cache, owner, inq = state
-        old = owner[j - 1]
-        if old != i:
-            cache = _set_cache(cache, old, j, (cache[old - 1][j - 1][0], INV))
+        old = owner[j] - 1
         # capture the old owner's data before zeroing; zeroing first would
         # leave nothing to read the reply data from
-        data = cache[old - 1][j - 1][0]
-        owner = owner[: j - 1] + (0,) + owner[j:]
+        data = cache[old][j][0]
+        if old != i:
+            cache = _set_entry(cache, old, j, (data, INV))
+        owner = owner[:j] + (0,) + owner[j + 1 :]
+        reply = self._msgs[ACKX_MSG, j + 1, data]
+        inval = self._msgs[INVAL_MSG, j + 1, None]
         queues = list(inq)
-        for p in range(1, self.n + 1):
+        for p, row in enumerate(cache):
             if p == i:
-                queues[p - 1] = queues[p - 1] + (Msg(ACKX_MSG, j, data),)
-            elif p != old and cache[p - 1][j - 1][1] != INV:
-                queues[p - 1] = queues[p - 1] + (Msg(INVAL_MSG, j),)
-        return PiranhaState(cache, owner, tuple(queues))
+                queues[p] += (reply,)
+            elif p != old and row[j][1] != INV:
+                queues[p] += (inval,)
+        return _new_state((cache, owner, tuple(queues)))
 
     def _do_acks(self, state: PiranhaState, i: int, j: int) -> PiranhaState:
         cache, owner, inq = state
-        old = owner[j - 1]
-        cache = _set_cache(cache, old, j, (cache[old - 1][j - 1][0], SHD))
-        data = cache[old - 1][j - 1][0]
+        old = owner[j] - 1
+        data = cache[old][j][0]
+        cache = _set_entry(cache, old, j, (data, SHD))
         if not self.buggy:
-            owner = owner[: j - 1] + (0,) + owner[j:]  # the bug: this reset is skipped
-        inq = inq[: i - 1] + (inq[i - 1] + (Msg(ACKS_MSG, j, data),),) + inq[i:]
-        return PiranhaState(cache, owner, inq)
+            owner = owner[:j] + (0,) + owner[j + 1 :]  # the bug: this reset is skipped
+        inq = inq[:i] + (inq[i] + (self._msgs[ACKS_MSG, j + 1, data],),) + inq[i + 1 :]
+        return _new_state((cache, owner, inq))
 
     def _do_upd(self, state: PiranhaState, i: int) -> PiranhaState:
         cache, owner, inq = state
-        queue = inq[i - 1]
-        msg = queue[0]
-        inq = inq[: i - 1] + (queue[1:],) + inq[i:]
-        a = msg.addr
-        if msg.kind == INVAL_MSG:
-            cache = _set_cache(cache, i, a, (cache[i - 1][a - 1][0], INV))
+        queue = inq[i]
+        kind, a, data = queue[0]
+        inq = inq[:i] + (queue[1:],) + inq[i + 1 :]
+        a -= 1
+        if kind == INVAL_MSG:
+            cache = _set_entry(cache, i, a, (cache[i][a][0], INV))
         else:
-            status = SHD if msg.kind == ACKS_MSG else EXC
-            cache = _set_cache(cache, i, a, (msg.data, status))
-            owner = owner[: a - 1] + (i,) + owner[a:]
-        return PiranhaState(cache, owner, inq)
+            cache = _set_entry(cache, i, a, (data, SHD if kind == ACKS_MSG else EXC))
+            owner = owner[:a] + (i + 1,) + owner[a + 1 :]
+        return _new_state((cache, owner, inq))
 
     # -- transition relation --------------------------------------------------
 
@@ -280,8 +350,8 @@ class PiranhaProtocol(MemorySystem):
                 raise ParameterError(f"bad op in {event!r}")
             if s != EXC:
                 raise DisabledEventError(f"{event!r}: line not exclusive")
-            return PiranhaState(
-                _set_cache(state.cache, i, j, (event.data, EXC)), state.owner, state.inq
+            return _new_state(
+                (_set_entry(state.cache, i - 1, j - 1, (event.data, EXC)), state.owner, state.inq)
             )
         if not isinstance(event, InternalEvent):
             raise ParameterError(f"not an event: {event!r}")
@@ -291,99 +361,88 @@ class PiranhaProtocol(MemorySystem):
                 raise ParameterError(f"bad params in {event!r}")
             if not state.inq[params[0] - 1]:
                 raise DisabledEventError(f"{event!r}: queue empty")
-            return self._do_upd(state, params[0])
+            return self._do_upd(state, params[0] - 1)
         if label in ("ACKX", "ACKS"):
             if len(params) != 2 or not (
                 1 <= params[0] <= self.n and 1 <= params[1] <= self.m
             ):
                 raise ParameterError(f"bad params in {event!r}")
-            i, j = params
+            i, j = params[0] - 1, params[1] - 1
+            ackx, acks = self._grants(state)
             if label == "ACKX":
-                if not self._ackx_enabled(state, i, j):
+                if (i, j) not in ackx:
                     raise DisabledEventError(f"{event!r}: guard false")
                 return self._do_ackx(state, i, j)
-            if not self._acks_enabled(state, i, j):
+            if (i, j) not in acks:
                 raise DisabledEventError(f"{event!r}: guard false")
             return self._do_acks(state, i, j)
         raise ParameterError(f"unknown internal event label {label!r}")
 
     def successors(self, state: PiranhaState) -> tuple[tuple[Event, object], ...]:
         """Enabled events with their successor states, in a fixed order:
-        reads, writes, ACKX, ACKS, UPD, each ascending in (proc, loc, data)."""
-        n, m, v = self.n, self.m, self.v
+        reads, writes, ACKX, ACKS, UPD, each ascending in (proc, loc, data).
+        A read's successor is `state` itself."""
         cache, owner, inq = state
         out: list[tuple[Event, object]] = []
-        for i in range(1, n + 1):
-            row = cache[i - 1]
-            for j in range(1, m + 1):
-                d, s = row[j - 1]
-                if s != INV:
-                    out.append((MemoryEvent(READ, i, j, d), state))
-        for i in range(1, n + 1):
-            row = cache[i - 1]
-            for j in range(1, m + 1):
-                if row[j - 1][1] == EXC:
-                    for data in range(v + 1):
-                        succ = PiranhaState(
-                            _set_cache(cache, i, j, (data, EXC)), owner, inq
+        writes = []
+        for i, row in enumerate(cache):
+            reads = self._reads[i]
+            for j, (d, s) in enumerate(row):
+                if s == INV:
+                    continue
+                by_data = reads[j]
+                # replays give writes fresh values, which may exceed v
+                e = by_data[d] if d < len(by_data) else MemoryEvent(READ, i + 1, j + 1, d)
+                out.append((e, state))
+                if s == EXC:
+                    head, tail = cache[:i], cache[i + 1 :]
+                    left, right = row[:j], row[j + 1 :]
+                    for e, entry in self._writes[i][j]:
+                        writes.append(
+                            (e, _new_state((head + (left + (entry,) + right,) + tail, owner, inq)))
                         )
-                        out.append((MemoryEvent(WRITE, i, j, data), succ))
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                if self._ackx_enabled(state, i, j):
-                    out.append((InternalEvent("ACKX", (i, j)), self._do_ackx(state, i, j)))
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                if self._acks_enabled(state, i, j):
-                    out.append((InternalEvent("ACKS", (i, j)), self._do_acks(state, i, j)))
-        for i in range(1, n + 1):
-            if inq[i - 1]:
-                out.append((InternalEvent("UPD", (i,)), self._do_upd(state, i)))
+        out += writes
+        ackx, acks = self._grants(state)
+        append = out.append
+        for i, j in ackx:
+            append((self._ackx[i][j], self._do_ackx(state, i, j)))
+        for i, j in acks:
+            append((self._acks[i][j], self._do_acks(state, i, j)))
+        for i, queue in enumerate(inq):
+            if queue:
+                append((self._upd[i], self._do_upd(state, i)))
         return tuple(out)
 
     # -- misc ----------------------------------------------------------------
 
     def encode_state(self, state: PiranhaState) -> bytes:
-        out = bytearray()
-        for row in state.cache:
-            for d, s in row:
-                out.append(d)
-                out.append(s)
-        out.extend(state.owner)
-        for queue in state.inq:
-            out.append(len(queue))
-            for kind, addr, data in queue:
-                out.append(kind)
-                out.append(addr)
-                out.append(0 if data is None else data)
-        return bytes(out)
+        if state is self._decoded[0]:
+            return self._decoded[1]
+        cache, owner, inq = state
+        return b"".join(
+            [*map(self._row_keys.__getitem__, cache), bytes(owner),
+             *map(self._queue_keys.__getitem__, inq)]
+        )
 
     def decode_state(self, key: bytes) -> PiranhaState:
         """Inverse of encode_state; lets searches keep states as packed bytes."""
         n, m = self.n, self.m
-        pos = 0
-        cache = []
-        for _ in range(n):
-            row = tuple(
-                (key[pos + 2 * j], key[pos + 2 * j + 1]) for j in range(m)
-            )
-            cache.append(row)
-            pos += 2 * m
+        width = 2 * m
+        rows, queues = self._rows, self._queues
+        cache = tuple([rows[key[pos : pos + width]] for pos in range(0, n * width, width)])
+        pos = n * width
         owner = tuple(key[pos : pos + m])
         pos += m
-        queues = []
+        inq = []
         for _ in range(n):
-            length = key[pos]
-            pos += 1
-            queue = []
-            for _ in range(length):
-                kind, addr, data = key[pos], key[pos + 1], key[pos + 2]
-                pos += 3
-                queue.append(Msg(kind, addr, None if kind == INVAL_MSG else data))
-            queues.append(tuple(queue))
+            end = pos + 1 + 3 * key[pos]
+            inq.append(queues[key[pos:end]])
+            pos = end
         if pos != len(key):
             raise ParameterError("malformed state key")
-        return PiranhaState(tuple(cache), owner, tuple(queues))
+        state = _new_state((cache, owner, tuple(inq)))
+        self._decoded = (state, key)
+        return state
 
     def permute_state(self, state: PiranhaState, kind: str, perm: Sequence[int]):
         cache, owner, inq = state

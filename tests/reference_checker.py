@@ -1,0 +1,62 @@
+"""A deliberately naive monitor-product search, for differential tests.
+
+It keeps protocol states as objects and monitor states as the automata's
+own states, steps them with monitors.constrain_step and check_step on every
+event, and runs a plain breadth-first search with a parent map: no packed
+keys, tables, interning or caches.  It follows model_check's conventions:
+roots are the distinct initial states in order, every unblocked product
+edge is a transition, the search stops at the first newly reached state
+where every check is in err, and max_depth is that state's depth, or else
+the largest depth expanded.
+"""
+from collections import deque
+
+from scmc.events import MemoryEvent
+from scmc.monitors import ERR, check_initial, check_step, constrain_initial, constrain_step
+
+
+def monitor_step(monitors, e):
+    """The monitor states after e, or None where a constraint blocks it."""
+    if not isinstance(e, MemoryEvent):
+        return monitors
+    constraints, checks = monitors
+    constraints = tuple(constrain_step(c, e) for c in constraints)
+    if None in constraints:
+        return None
+    return constraints, tuple(check_step(c, e) for c in checks)
+
+
+def reference_check(protocol, k):
+    """(result, states, transitions, max_depth, run events or None)."""
+    start = (
+        tuple(constrain_initial(j, k) for j in range(1, protocol.m + 1)),
+        tuple(check_initial(i, k) for i in range(1, k + 1)),
+    )
+    parents = {}
+    frontier = deque()
+    for s in protocol.initial_states():
+        if (s, start) not in parents:
+            parents[(s, start)] = None
+            frontier.append(((s, start), 0))
+    transitions = max_depth = 0
+    while frontier:
+        node, depth = frontier.popleft()
+        max_depth = max(max_depth, depth)
+        s, monitors = node
+        for e, s2 in protocol.successors(s):
+            monitors2 = monitor_step(monitors, e)
+            if monitors2 is None:
+                continue
+            transitions += 1
+            node2 = (s2, monitors2)
+            if node2 in parents:
+                continue
+            parents[node2] = (node, e)
+            if all(c.phase == ERR for c in monitors2[1]):
+                run = []
+                while parents[node2] is not None:
+                    node2, e = parents[node2]
+                    run.append(e)
+                return "counterexample", len(parents), transitions, depth + 1, tuple(reversed(run))
+            frontier.append((node2, depth + 1))
+    return "no_violation", len(parents), transitions, max_depth, None

@@ -17,7 +17,9 @@ from scmc import (
     respects_program_order,
 )
 from scmc.errors import ParameterError
-from strategies import arbitrary_traces, unambiguous_causal_traces
+from scmc.events import write_indices
+from corpus import all_traces
+from strategies import analyzable_traces, arbitrary_traces, unambiguous_causal_traces
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -47,6 +49,23 @@ class TestUnambiguous:
     def test_generator_agrees(self, trace):
         assert is_unambiguous(trace)
         assert is_causal(trace)
+
+    @staticmethod
+    def per_location(trace):
+        """The definition, location by location over write_indices."""
+        for j in range(1, trace.params.m + 1):
+            values = [trace.at(x).data for x in write_indices(trace, j)]
+            if 0 in values or len(set(values)) != len(values):
+                return False
+        return True
+
+    @given(st.one_of(arbitrary_traces(), analyzable_traces()))
+    def test_single_pass_matches_definition(self, trace):
+        assert is_unambiguous(trace) == self.per_location(trace)
+
+    def test_single_pass_matches_definition_on_corpus(self):
+        for trace in all_traces():
+            assert is_unambiguous(trace) == self.per_location(trace)
 
 
 class TestCausal:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from scmc import (
@@ -23,7 +25,11 @@ from scmc import (
     verify_nice_cycle,
 )
 from scmc.checker import COUNTEREXAMPLE, INCONCLUSIVE, NO_VIOLATION
+from scmc.errors import DataIndependenceError
+from scmc.events import READ
+from scmc.protocol import PiranhaProtocol
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
+from reference_checker import reference_check
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -141,6 +147,83 @@ class TestModelCheck:
         assert isinstance(d["run"], list) and isinstance(d["cycle"], dict)
         assert d["cycle"]["canonical"] is True
         assert [e["op"] for e in d["unambiguous_trace"]] == ["W", "R", "W", "R"]
+
+
+class TestAgainstReference:
+    # every configuration with n, m <= 2 and queue bound <= 2, both variants
+    # and every k, against the naive search of reference_checker.py
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize(
+        "n, m, k", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
+    )
+    def test_same_verdict(self, name, n, m, q, k):
+        p = make_protocol(name, n, m, q)
+        v = model_check(p, k)
+        run = None if v.run is None else v.run.events
+        assert (v.result, v.states, v.transitions, v.max_depth, run) == reference_check(p, k)
+
+
+class TestProtocolCalls:
+    """model_check calls the protocol exactly as often as before the
+    product-key and kernel rewrite; the benchmark gates these counts."""
+
+    @pytest.mark.parametrize(
+        "name, calls",
+        [
+            # (successors, encode_state, decode_state, successor edges)
+            ("piranha", (8154, 49072, 8154, 49068)),
+            ("piranha-buggy", (38537, 287834, 38535, 287854)),
+        ],
+    )
+    def test_call_counts(self, monkeypatch, name, calls):
+        counts = dict.fromkeys(("successors", "encode_state", "decode_state", "edges"), 0)
+        reads = []
+
+        def counting(attr):
+            original = getattr(PiranhaProtocol, attr)
+
+            def wrapper(self, arg):
+                counts[attr] += 1
+                result = original(self, arg)
+                if attr == "successors":
+                    counts["edges"] += len(result)
+                    reads.extend(s is arg for e, s in result if getattr(e, "op", None) == READ)
+                return result
+
+            monkeypatch.setattr(PiranhaProtocol, attr, wrapper)
+
+        for attr in ("successors", "encode_state", "decode_state"):
+            counting(attr)
+        model_check(make_protocol(name, 2, 2, 3), 2)
+        assert tuple(counts.values()) == calls
+        # every read is a protocol self-loop on the very state object
+        assert reads and all(reads)
+
+
+class TestGcPause:
+    def test_collector_resumed(self):
+        assert gc.isenabled()
+        model_check(make_protocol("piranha", 2, 1, 1), 1)
+        assert gc.isenabled()
+
+    def test_collector_resumed_after_error(self):
+        # the fixture's reads return values nothing wrote, so the replay of
+        # its counterexample fails inside model_check
+        assert gc.isenabled()
+        with pytest.raises(DataIndependenceError):
+            model_check(HallucinatingReadProtocol(2, 2), 1)
+        assert gc.isenabled()
+
+    def test_collector_left_off(self):
+        gc.disable()
+        try:
+            model_check(make_protocol("piranha", 2, 1, 1), 1)
+            explore_protocol(make_protocol("piranha", 2, 1, 1))
+            validate_assumptions(make_protocol("piranha", 2, 1, 1), depth=2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestCheckAllK:

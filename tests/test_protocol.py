@@ -184,6 +184,58 @@ class TestGuards:
         assert ACKS(2, 1) in roomy.enabled(s)
 
 
+def _alphabet(p):
+    """Every event of p with data 0..v, enabled or not."""
+    procs, locs, data = range(1, p.n + 1), range(1, p.m + 1), range(p.v + 1)
+    out = [MemoryEvent(op, i, j, d) for op in "RW" for i in procs for j in locs for d in data]
+    out += [InternalEvent(label, (i, j)) for label in ("ACKX", "ACKS") for i in procs for j in locs]
+    return out + [UPD(i) for i in procs]
+
+
+def _reachable(p, limit):
+    """The first `limit` reachable states of p in breadth-first order."""
+    seen = dict.fromkeys(p.initial_states())
+    frontier = list(seen)
+    while frontier and len(seen) < limit:
+        frontier = list(dict.fromkeys(
+            s2 for s in frontier for _e, s2 in p.successors(s) if s2 not in seen
+        ))
+        seen.update(dict.fromkeys(frontier))
+    return list(seen)[:limit]
+
+
+class TestSuccessorsAgreeWithStep:
+    # piranha 2x2 Q2 has 11,898 reachable states; the buggy variant's state
+    # space at Q2 is far larger, so it is covered up to the same size
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    def test_every_state_every_event(self, name):
+        p = make_protocol(name, 2, 2, 2)
+        alphabet = _alphabet(p)
+        states = _reachable(p, 12_000)
+        if name == "piranha":
+            assert len(states) == 11_898
+        for s in states:
+            succ = dict(p.successors(s))
+            for e in alphabet:
+                try:
+                    s2 = p.step(s, e)
+                except DisabledEventError:
+                    assert e not in succ
+                else:
+                    assert e in succ and succ[e] == s2
+
+    def test_read_of_data_beyond_v(self):
+        # replay_unambiguous's shadow states hold fresh write values above v
+        p = make_protocol("piranha", 2, 2)
+        s = p.initial_state((1, 1))
+        s = s._replace(cache=(((5, SHD), (0, INV)), ((0, SHD), (0, SHD))))
+        succ = p.successors(s)
+        assert (R(1, 1, 5), s) in succ
+        assert [e for e, nxt in succ if nxt is s] == [R(1, 1, 5), R(2, 1, 0), R(2, 2, 0)]
+        assert p.step(s, R(1, 1, 5)) is s
+        assert p.decode_state(p.encode_state(s)) == s
+
+
 class TestUnambiguousReplay:
     def test_already_unambiguous_identity(self):
         p = make_protocol("piranha", 2, 1)
