@@ -14,14 +14,13 @@ import gc
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple, Optional
 
 from . import monitors
 from .errors import ParameterError, PreconditionError, ReplayError, SoundnessError
 from .events import (
     READ,
-    WRITE,
     Event,
     MemoryEvent,
     Params,
@@ -30,25 +29,12 @@ from .events import (
     event_to_json,
     project_trace,
 )
-from .monitors import (
-    CheckAutomaton,
-    CheckState,
-    ConstrainAutomaton,
-    ConstrainState,
-    accepts,
-    check_initial,
-    check_step,
-    constrain_step,
-)
+from .monitors import CheckAutomaton, ConstrainAutomaton, accepts, check_initial, check_step
 from .protocol import MemorySystem, _Memo, replay, replay_unambiguous, permute_run
 from .witness import NiceCycle, build_constraint_graph, verify_nice_cycle
 
 DEFAULT_MAX_STATES = 50_000_000
 _SUCC_CACHE_MAX = 1 << 18
-
-_PHASE_INDEX = {monitors.A: 0, monitors.B: 1, monitors.ERR: 2}
-_PHASES = (monitors.A, monitors.B, monitors.ERR)
-_PHASE_BYTES = (b"\x00", b"\x01", b"\x02")
 
 NO_VIOLATION = "no_violation"
 COUNTEREXAMPLE = "counterexample"
@@ -89,64 +75,6 @@ class Verdict:
         if owner is not None:
             out["initial_owners"] = list(owner)
         return out
-
-
-def _monitor_steps(e: Event, m: int, k: int) -> tuple:
-    """How e moves the monitor bytes of a product key.
-
-    One (byte position, targets) pair per monitor e can move: the constraint
-    of its location for a write, then the check of its processor.  Targets
-    are indexed by the monitor's phase index and hold the next phase index,
-    or None where the constraint blocks e.
-    """
-    if type(e) is not MemoryEvent:
-        return ()
-    steps = []
-    if e.op == WRITE:
-        targets = []
-        for phase in (monitors.A, monitors.B):
-            nxt = constrain_step(ConstrainState(e.loc, k, phase), e)
-            targets.append(None if nxt is None else _PHASE_INDEX[nxt.phase])
-        steps.append((e.loc - 1, tuple(targets)))
-    if e.proc <= k:
-        targets = tuple(
-            _PHASE_INDEX[check_step(CheckState(e.proc, k, phase), e).phase]
-            for phase in _PHASES
-        )
-        if targets != (0, 1, 2):
-            steps.append((m + e.proc - 1, targets))
-    return tuple(steps)
-
-
-class _MonitorTable(dict):
-    """Monitor bytes -> monitor bytes after one event, filled on first use.
-
-    The value is None where a constraint blocks the event; otherwise it is
-    interned through `interned`, a _Memo that maps each key to the first
-    equal key looked up, so monitors that do not move map to the very bytes
-    they came from.
-    """
-
-    __slots__ = ("steps", "interned")
-
-    def __init__(self, steps: tuple, interned: dict):
-        super().__init__()
-        self.steps = steps
-        self.interned = interned
-
-    def __missing__(self, mon: bytes) -> Optional[bytes]:
-        mon2 = mon
-        for pos, targets in self.steps:
-            phase = targets[mon2[pos]]
-            if phase is None:
-                mon2 = None
-                break
-            if phase != mon2[pos]:
-                mon2 = mon2[:pos] + _PHASE_BYTES[phase] + mon2[pos + 1 :]
-        if mon2 is not None:
-            mon2 = self.interned[mon2]
-        self[mon] = mon2
-        return mon2
 
 
 def extract_cycle(
@@ -301,52 +229,73 @@ def model_check(
     if max_states < 1:
         raise ParameterError(f"max_states must be >= 1, got {max_states}")
 
-    # A product key is a pair: the packed protocol state, and the monitor
-    # bytes, one phase byte per location constraint and per processor check
-    # (_PHASES, indexed as in _monitor_steps).  States travel
-    # through the search as these bytes and are rebuilt on demand: deep
-    # searches then cost key bytes per state instead of a retained object
-    # tree, and the successor cache stays bounded.  Both halves are interned
-    # through one dict, so equal halves are one object whose hash is
-    # computed once.
+    # A product key is one int, pid * size + mid.  pid numbers the packed
+    # protocol states in the order the search first meets them, and
+    # `packed` keeps the bytes of each, rebuilt by decode_state on demand.
+    # mid indexes `vectors`, the monitors' own states: one constraint per
+    # location, then one check per processor 1..k.  Each event has a table
+    # from mid to the mid after the event (None: a constraint blocks it).
     m = protocol.m
-    all_err = bytes((2,)) * k
-    interned = _Memo(lambda key: key)
-    succ_cache: dict[bytes, tuple] = {}
+    automata = [ConstrainAutomaton(j, k) for j in range(1, m + 1)]
+    automata += [CheckAutomaton(i, k) for i in range(1, k + 1)]
+    vectors = list(product(*[[a.initial()._replace(phase=p) for p in a.states] for a in automata]))
+    size = len(vectors)
+    mids = {vec: mid for mid, vec in enumerate(vectors)}
+    unmoved = list(range(size))
+    packed: list[bytes] = []
+    succ_cache: dict[int, tuple] = {}  # pid * size -> successor entries
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
 
-    def monitor_table(e: Event) -> Optional[_MonitorTable]:
-        steps = _monitor_steps(e, m, k)
-        return _MonitorTable(steps, interned) if steps else None
+    def number(x: bytes) -> int:
+        packed.append(x)
+        return (len(packed) - 1) * size
+
+    bases = _Memo(number)  # packed protocol state -> pid * size, one int object per pid
+
+    def monitor_table(e: Event) -> Optional[tuple]:
+        if type(e) is not MemoryEvent:
+            return None
+        table = []
+        for vec in vectors:
+            vec2 = tuple([a.step(s, e) for a, s in zip(automata, vec)])
+            table.append(None if None in vec2 else mids[vec2])
+        return None if table == unmoved else tuple(table)
 
     tables = _Memo(monitor_table)  # event -> its monitor table; None: moves none
 
-    def successors_of(x: bytes) -> tuple:
+    def successors_of(base: int) -> tuple:
         if len(succ_cache) >= _SUCC_CACHE_MAX:
             succ_cache.clear()
-        succ = succ_cache[x] = tuple(
-            [(e, tables[e], interned[encode(ps2)]) for e, ps2 in successors(decode(x))]
+        x = packed[base // size]
+        # keyed by the memo's own int, so the cache holds no int of its own
+        succ = succ_cache[bases[x]] = tuple(
+            [(e, tables[e], bases[encode(ps2)]) for e, ps2 in successors(decode(x))]
         )
         return succ
 
-    def expand(key: tuple):
-        x, mon = key
-        succ = succ_cache.get(x)
+    def expand(key: int):
+        mid = key % size
+        base = key - mid
+        succ = succ_cache.get(base)
         if succ is None:
-            succ = successors_of(x)
-        for e, table, x2 in succ:
-            mon2 = mon if table is None else table[mon]
-            if mon2 is None:
-                continue  # a constraint blocks this write
-            # a self-loop (a read that moves no monitor) returns key itself
-            yield e, key if x2 is x and mon2 is mon else (x2, mon2)
+            succ = successors_of(base)
+        for e, table, base2 in succ:
+            if table is None:
+                yield e, base2 + mid
+            else:
+                mid2 = table[mid]
+                if mid2 is not None:  # else a constraint blocks this write
+                    yield e, base2 + mid2
 
-    start = interned[bytes(m + k)]
-    roots: dict[tuple, object] = {}
+    start = mids[tuple(a.initial() for a in automata)]
+    goal = frozenset(
+        mid for mid, vec in enumerate(vectors) if all(s.phase == monitors.ERR for s in vec[m:])
+    )
+    roots: dict[int, object] = {}
     for ps in protocol.initial_states():
-        roots.setdefault((interned[encode(ps)], start), ps)
+        roots.setdefault(bases[encode(ps)] + start, ps)
     found = _search(
-        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key[1].endswith(all_err)
+        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key % size in goal
     )
     states = len(found.parents)
     if found.goal is None:

@@ -33,6 +33,7 @@ from .errors import (
     DataIndependenceError,
     OracleBoundError,
     ParameterError,
+    PreconditionError,
     ReplayError,
     ScmcError,
     SoundnessError,
@@ -205,8 +206,12 @@ def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
 def cmd_analyze(path: str, fmt: str, output: Optional[str]) -> int:
     run = _load_run(path)
     trace = project_trace(run)
-    unamb = is_unambiguous(trace)
-    causal = is_causal(trace)
+    try:
+        graph = build_constraint_graph(trace)  # checks both preconditions first
+        unamb = causal = True
+    except PreconditionError:
+        graph = None
+        unamb, causal = is_unambiguous(trace), is_causal(trace)
     payload: dict = {
         "events": len(trace),
         "n": trace.params.n,
@@ -223,13 +228,12 @@ def cmd_analyze(path: str, fmt: str, output: Optional[str]) -> int:
         f"unambiguous: {'yes' if unamb else 'no'}",
         f"causal: {'yes' if causal else 'no'}",
     ]
-    if not (unamb and causal):
+    if graph is None:
         payload["analysis"] = "skipped"
         payload["verdict"] = "analysis skipped; trace outside the unambiguous causal class"
         lines.append(payload["verdict"])
         _emit(payload, lines, fmt, output)
         return EXIT_UNDECIDED
-    graph = build_constraint_graph(trace)
     cyc = find_cycle(graph)
     if cyc is None:
         payload["analysis"] = "acyclic"

@@ -1,13 +1,14 @@
 """Finite cache-coherence protocols as explicit-state transition systems.
 
-A MemorySystem exposes initial states, an enabled-event relation and a
-deterministic step function over immutable states.  The shipped protocol is
-a directory-less invalidation protocol in the style of Piranha's L2: each
-processor holds a cache line per location in state INV, SHD or EXC, requests
-travel through per-processor FIFO queues as ACKS/ACKX/INVAL messages, and a
-per-location owner variable serializes requests (owner 0 means a request is
-in flight).  The buggy variant omits the owner reset in the shared-access
-grant, which lets a second grant race the first one's acknowledgment.
+A MemorySystem exposes initial states and one transition relation over
+immutable states, `successors`: the enabled events of a state, each with its
+unique successor.  The shipped protocol is a directory-less invalidation
+protocol in the style of Piranha's L2: each processor holds a cache line per
+location in state INV, SHD or EXC, requests travel through per-processor
+FIFO queues as ACKS/ACKX/INVAL messages, and a per-location owner variable
+serializes requests (owner 0 means a request is in flight).  The buggy
+variant omits the owner reset in the shared-access grant, which lets a
+second grant race the first one's acknowledgment.
 
 Queues are bounded by guard strengthening: an event whose body would append
 to a full queue is disabled, never an error.
@@ -103,10 +104,13 @@ def _unflatten(key: bytes, pos: int):
 class MemorySystem(ABC):
     """A finite transition system over the shared event alphabet.
 
-    Searches keep states as the bytes of encode_state and rebuild them with
-    decode_state, so the two must be inverse: decode_state(encode_state(s))
-    equals s.  The base-class pair packs states that are nested tuples of
-    ints and None; a system with other states overrides both.
+    `successors` is the transition relation; `enabled` and `step` are
+    derived from it, and a system may override `step` with a direct guard
+    check.  Searches keep states as the bytes of encode_state and rebuild
+    them with decode_state, so the two must be inverse:
+    decode_state(encode_state(s)) equals s.  The base-class pair packs
+    states that are nested tuples of ints and None; a system with other
+    states overrides both.
     """
 
     n: int
@@ -119,15 +123,18 @@ class MemorySystem(ABC):
         ...
 
     @abstractmethod
-    def enabled(self, state) -> tuple[Event, ...]:
-        ...
+    def successors(self, state) -> tuple[tuple[Event, object], ...]:
+        """The enabled events of `state` with their successor states."""
 
-    @abstractmethod
+    def enabled(self, state) -> tuple[Event, ...]:
+        return tuple(e for e, _ in self.successors(state))
+
     def step(self, state, event):
         """The successor under `event`; DisabledEventError if its guard fails."""
-
-    def successors(self, state) -> tuple[tuple[Event, object], ...]:
-        return tuple((e, self.step(state, e)) for e in self.enabled(state))
+        for e, nxt in self.successors(state):
+            if e == event:
+                return nxt
+        raise DisabledEventError(f"{event!r} is not enabled")
 
     def encode_state(self, state) -> bytes:
         """A canonical byte key for visited sets; equal states encode equally."""
@@ -332,9 +339,6 @@ class PiranhaProtocol(MemorySystem):
         return _new_state((cache, owner, inq))
 
     # -- transition relation --------------------------------------------------
-
-    def enabled(self, state: PiranhaState) -> tuple[Event, ...]:
-        return tuple(e for e, _ in self.successors(state))
 
     def step(self, state: PiranhaState, event: Event):
         if isinstance(event, MemoryEvent):

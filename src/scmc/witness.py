@@ -1,30 +1,20 @@
 """Constraint graphs induced by the simple write-order witness.
 
-For an unambiguous causal trace, the order of writes to a location (the
-simple witness) expands to a relation on all events at that location; the
-constraint graph joins those relations with per-processor program order.
-Acyclicity of this graph certifies sequential consistency.
+For an unambiguous causal trace, the trace order of the writes to a
+location (the simple witness) expands to a relation on all events at that
+location; the constraint graph joins those relations with per-processor
+program order.  Acyclicity of this graph certifies sequential consistency.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .analysis import is_causal, is_unambiguous
 from .errors import ParameterError, PreconditionError
 from .events import READ, WRITE, Trace
-
-
-class SimpleWitness:
-    """Orders each location's writes by their position in the trace."""
-
-    def precedes(self, trace: Trace, loc: int, a: int, b: int) -> bool:
-        return a < b
-
-
-SIMPLE_WITNESS = SimpleWitness()
 
 
 def _require_unambiguous_causal(trace: Trace) -> None:
@@ -34,19 +24,17 @@ def _require_unambiguous_causal(trace: Trace) -> None:
         raise PreconditionError("trace is not causal (read without a matching write)")
 
 
-def expanded_order(
-    trace: Trace, loc: int, witness: SimpleWitness = SIMPLE_WITNESS
-) -> frozenset[tuple[int, int]]:
+def expanded_order(trace: Trace, loc: int) -> frozenset[tuple[int, int]]:
     """Pairs (x, y) of positions at `loc` ordered by the expanded witness.
 
     (x, y) is in the relation iff any of:
       1. x is a write and y a read of the same value;
       2. x carries data 0 and y nonzero data;
-      3. the writes sourcing x's and y's values are witness-ordered x-first.
+      3. the write sourcing x's value comes before the one sourcing y's.
     """
     if not 1 <= loc <= trace.params.m:
         raise ParameterError(f"loc {loc} outside 1..{trace.params.m}")
-    graph = build_constraint_graph(trace, witness)
+    graph = build_constraint_graph(trace)
     members = graph.loc_members[loc]
     return frozenset(
         (x, y) for x in members for y in members if graph._loc_pair(x, y)
@@ -60,7 +48,7 @@ class ConstraintGraph:
     Both kinds of edge are implicit.  (u, v) is a processor edge iff the two
     events share a processor and u < v.  For location edges every event has
     a rank: 0 if it carries data 0, else i when its value is that of the
-    i-th write to its location in witness order.  Its level is twice its
+    i-th write to its location in trace order.  Its level is twice its
     rank, plus one for a read.  The expanded order of a location is then
     exactly level(x) < level(y): lower rank first, and within a rank the
     write before the reads of its value.  `build_constraint_graph` ranks
@@ -76,9 +64,8 @@ class ConstraintGraph:
     """
 
     trace: Trace
-    witness: SimpleWitness
     loc_members: dict[int, tuple[int, ...]]
-    writes: dict[int, tuple[int, ...]]  # per location, in witness order
+    writes: dict[int, tuple[int, ...]]  # per location, in trace order
     level: tuple[int, ...]  # level[v] for v in 1..len(trace); level[0] unused
     _loc_succ_cache: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -166,9 +153,7 @@ class ConstraintGraph:
         return succs
 
 
-def build_constraint_graph(
-    trace: Trace, witness: SimpleWitness = SIMPLE_WITNESS
-) -> ConstraintGraph:
+def build_constraint_graph(trace: Trace) -> ConstraintGraph:
     _require_unambiguous_causal(trace)
     events = trace.events
     locs = range(1, trace.params.m + 1)
@@ -180,15 +165,12 @@ def build_constraint_graph(
             writes[e.loc].append(v)
     rank: dict[tuple[int, int], int] = {}  # (location, value) -> rank
     for j, ws in writes.items():
-        if len(ws) > 1:
-            order = lambda a, b: -1 if witness.precedes(trace, j, a, b) else 1
-            ws.sort(key=cmp_to_key(order))
         for i, w in enumerate(ws, 1):
             rank[j, events[w - 1].data] = i
     level = (0, *[2 * rank.get((e.loc, e.data), 0) + (e.op == READ) for e in events])
     loc_members = {j: tuple(vs) for j, vs in members.items()}
     loc_writes = {j: tuple(ws) for j, ws in writes.items()}
-    return ConstraintGraph(trace, witness, loc_members, loc_writes, level)
+    return ConstraintGraph(trace, loc_members, loc_writes, level)
 
 
 def find_cycle(graph: ConstraintGraph) -> Optional[tuple[int, ...]]:

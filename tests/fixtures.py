@@ -1,5 +1,5 @@
 """Miniature memory systems used to exercise the assumption validator."""
-from scmc.errors import DisabledEventError, ParameterError
+from scmc.errors import ParameterError
 from scmc.events import READ, WRITE, MemoryEvent
 from scmc.protocol import MemorySystem
 
@@ -33,15 +33,6 @@ class PrivilegedWriterProtocol(MemorySystem):
                     (MemoryEvent(WRITE, 1, j, d), state[: j - 1] + (d,) + state[j:])
                 )
         return tuple(out)
-
-    def enabled(self, state):
-        return tuple(e for e, _ in self.successors(state))
-
-    def step(self, state, event):
-        for e, nxt in self.successors(state):
-            if e == event:
-                return nxt
-        raise DisabledEventError(f"{event} is not enabled")
 
     def permute_state(self, state, kind, perm):
         if kind == "proc":
@@ -78,15 +69,6 @@ class HallucinatingReadProtocol(MemorySystem):
                 for d in (0, 1):
                     out.append((MemoryEvent(READ, i, j, d), state))
         return tuple(out)
-
-    def enabled(self, state):
-        return tuple(e for e, _ in self.successors(state))
-
-    def step(self, state, event):
-        for e, nxt in self.successors(state):
-            if e == event:
-                return nxt
-        raise DisabledEventError(f"{event} is not enabled")
 
     def permute_state(self, state, kind, perm):
         return state

@@ -7,7 +7,8 @@ keys, tables, interning or caches.  It follows model_check's conventions:
 roots are the distinct initial states in order, every unblocked product
 edge is a transition, the search stops at the first newly reached state
 where every check is in err, and max_depth is that state's depth, or else
-the largest depth expanded.
+the largest depth expanded.  Given max_states, it returns inconclusive as
+soon as more than max_states states are reached, after the goal test.
 """
 from collections import deque
 
@@ -26,7 +27,7 @@ def monitor_step(monitors, e):
     return constraints, tuple(check_step(c, e) for c in checks)
 
 
-def reference_check(protocol, k):
+def reference_check(protocol, k, max_states=None):
     """(result, states, transitions, max_depth, run events or None)."""
     start = (
         tuple(constrain_initial(j, k) for j in range(1, protocol.m + 1)),
@@ -58,5 +59,7 @@ def reference_check(protocol, k):
                     node2, e = parents[node2]
                     run.append(e)
                 return "counterexample", len(parents), transitions, depth + 1, tuple(reversed(run))
+            if max_states is not None and len(parents) > max_states:
+                return "inconclusive", len(parents), transitions, max_depth, None
             frontier.append((node2, depth + 1))
     return "no_violation", len(parents), transitions, max_depth, None

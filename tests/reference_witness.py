@@ -7,13 +7,12 @@ is ranked, reduced or indexed, so it is slow but can be checked by eye
 against the definitions.
 """
 from scmc.events import READ, WRITE, Trace
-from scmc.witness import SIMPLE_WITNESS, NiceCycle
+from scmc.witness import NiceCycle
 
 
 class NaiveGraph:
-    def __init__(self, trace: Trace, witness=SIMPLE_WITNESS):
+    def __init__(self, trace: Trace):
         self.trace = trace
-        self.witness = witness
         # per location, each written value to the position of its write
         self.source = {
             j: {e.data: w for w, e in enumerate(trace.events, 1) if e.loc == j and e.op == WRITE}
@@ -35,7 +34,7 @@ class NaiveGraph:
             src = self.source[ex.loc]
             a, b = src.get(ex.data), src.get(ey.data)
             if a is not None and b is not None:
-                return self.witness.precedes(self.trace, ex.loc, a, b)
+                return a < b  # the simple witness: writes in trace order
         return False
 
     def loc_edge_label(self, u, v):

@@ -24,6 +24,7 @@ from scmc import (
     validate_assumptions,
     verify_nice_cycle,
 )
+from scmc import checker
 from scmc.checker import COUNTEREXAMPLE, INCONCLUSIVE, NO_VIOLATION
 from scmc.errors import DataIndependenceError
 from scmc.events import READ
@@ -162,6 +163,28 @@ class TestAgainstReference:
         v = model_check(p, k)
         run = None if v.run is None else v.run.events
         assert (v.result, v.states, v.transitions, v.max_depth, run) == reference_check(p, k)
+
+    # k = 3 (216 monitor vectors) and locations beyond k, cut at 5000 states
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize(
+        "n, m, k", [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
+    )
+    def test_same_bounded_verdict(self, name, n, m, k):
+        p = make_protocol(name, n, m, 1)
+        v = model_check(p, k, max_states=5000)
+        run = None if v.run is None else v.run.events
+        expected = reference_check(p, k, max_states=5000)
+        assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
+
+    # a one-state protocol whose reads may return 1 without a write: the
+    # product is the monitor vectors alone, so even k = 3 reaches the goal
+    @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (3, 3, 2), (3, 3, 3)])
+    def test_same_goal_on_monitor_vectors(self, monkeypatch, n, m, k):
+        # the run is not data independent, so the cycle cannot be extracted
+        monkeypatch.setattr(checker, "extract_cycle", lambda *args: (None, None))
+        p = HallucinatingReadProtocol(n, m)
+        v = model_check(p, k)
+        assert (v.result, v.states, v.transitions, v.max_depth, v.run.events) == reference_check(p, k)
 
 
 class TestProtocolCalls:

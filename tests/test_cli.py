@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,19 @@ R = lambda i, j, d: MemoryEvent(READ, i, j, d)
 ACKX = lambda i, j: InternalEvent("ACKX", (i, j))
 ACKS = lambda i, j: InternalEvent("ACKS", (i, j))
 UPD = lambda i: InternalEvent("UPD", (i,))
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m scmc *args` in a child that imports the scmc under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "scmc", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
 
 TRACE3 = Trace((W(1, 1, 1), R(2, 1, 0), R(2, 1, 1)), Params(2, 1, 1))
 VIOLATION4 = Trace(
@@ -347,19 +362,10 @@ class TestParserContract:
         assert format_event(ACKS(1, 2)) == "ACKS(1,2)"
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "scmc", "check", "--k", "1", "--n", "1", "--m", "1",
-             "--queue-bound", "1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("check", "--k", "1", "--n", "1", "--m", "1", "--queue-bound", "1")
         assert proc.returncode == EXIT_OK
         assert "no violation" in proc.stdout
 
     def test_console_script_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "scmc", "check", "--search", "sideways"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("check", "--search", "sideways")
         assert proc.returncode == EXIT_USAGE
