@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import gc
 import sys
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import count, permutations, product
 from typing import NamedTuple, Optional
 
 from . import monitors
@@ -146,10 +146,12 @@ def _gc_paused(fn):
 
 
 class _Search(NamedTuple):
-    parents: dict  # key -> (parent key, event); roots map to (None, None)
+    keys: list  # every key reached, in discovery order; a key's id is its index
+    parent: array  # id -> the id it was first reached from; -1 for roots
+    event: list  # id -> the event that first reached it; None for roots
     transitions: int
     max_depth: int
-    goal: Optional[tuple]  # (key, depth) of the first key passing the goal test
+    goal: Optional[tuple]  # (id, depth) of the first key passing the goal test
     exceeded: bool  # stopped because more than max_states keys were reached
 
 
@@ -161,48 +163,67 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
     not expanded.  The search stops at the first newly reached key passing
     goal(key), or as soon as more than max_states keys (None: no bound) are
     reached.
+
+    Keys are numbered in discovery order, so no structure holds an object per
+    key beyond the key itself.  BFS discovers keys in the order it expands
+    them: a cursor walks `keys`, and a level ends where `keys` ended when the
+    level began.  DFS pops (id, depth) pairs from a flat stack.
     """
-    parents: dict = {}
-    frontier: deque = deque()
-    for key in roots:
-        if key not in parents:
-            parents[key] = (None, None)
-            frontier.append((key, 0))
-    pop = frontier.pop if dfs else frontier.popleft
-    push = frontier.append
+    keys = list(dict.fromkeys(roots))
+    seen = set(keys)
+    parent = array("q", [-1]) * len(keys)
+    event: list = [None] * len(keys)
+    stack = array("q", [x for i in range(len(keys)) for x in (i, 0)]) if dfs else None
     bound = sys.maxsize if max_states is None else max_states
-    states = len(parents)
-    transitions = max_depth = 0
-    while frontier:
-        key, depth = pop()
+    add, append, append_parent, append_event = seen.add, keys.append, parent.append, event.append
+    transitions = max_depth = depth = cursor = 0
+    level_end = len(keys)
+    while True:
+        if dfs:
+            if not stack:
+                break
+            depth = stack.pop()
+            i = stack.pop()
+        else:
+            if cursor == len(keys):
+                break
+            if cursor == level_end:
+                depth += 1
+                level_end = len(keys)
+            i = cursor
+            cursor += 1
         if depth > max_depth:
             max_depth = depth
         if depth == depth_limit:
             continue
-        depth += 1
-        for e, key2 in expand(key):
+        first = len(keys)
+        for e, key2 in expand(keys[i]):
             transitions += 1
-            if key2 in parents:
+            if key2 in seen:
                 continue
-            parents[key2] = (key, e)
-            states += 1
+            add(key2)
+            append(key2)
+            append_parent(i)
+            append_event(e)
             if goal is not None and goal(key2):
-                return _Search(parents, transitions, max_depth, (key2, depth), False)
-            if states > bound:
-                return _Search(parents, transitions, max_depth, None, True)
-            push((key2, depth))
-    return _Search(parents, transitions, max_depth, None, False)
+                goal_at = (len(keys) - 1, depth + 1)
+                return _Search(keys, parent, event, transitions, max_depth, goal_at, False)
+            if len(keys) > bound:
+                return _Search(keys, parent, event, transitions, max_depth, None, True)
+        if dfs:
+            for j in range(first, len(keys)):
+                stack.append(j)
+                stack.append(depth + 1)
+    return _Search(keys, parent, event, transitions, max_depth, None, False)
 
 
-def _path(parents: dict, key) -> tuple[object, tuple[Event, ...]]:
-    """The root `key` was reached from, and the events leading there."""
+def _path(found: _Search, i: int) -> tuple[object, tuple[Event, ...]]:
+    """The root key id i was reached from, and the events leading there."""
     events: list[Event] = []
-    parent, e = parents[key]
-    while parent is not None:
-        events.append(e)
-        key = parent
-        parent, e = parents[key]
-    return key, tuple(reversed(events))
+    while found.parent[i] >= 0:
+        events.append(found.event[i])
+        i = found.parent[i]
+    return found.keys[i], tuple(reversed(events))
 
 
 @_gc_paused
@@ -243,7 +264,7 @@ def model_check(
     mids = {vec: mid for mid, vec in enumerate(vectors)}
     unmoved = list(range(size))
     packed: list[bytes] = []
-    succ_cache: dict[int, tuple] = {}  # pid * size -> successor entries
+    succ_cache: dict[int, tuple] = {}  # pid * size -> (e, table, base2, e, table, base2, ...)
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
 
     def number(x: bytes) -> int:
@@ -267,9 +288,10 @@ def model_check(
         if len(succ_cache) >= _SUCC_CACHE_MAX:
             succ_cache.clear()
         x = packed[base // size]
-        # keyed by the memo's own int, so the cache holds no int of its own
+        # flat, three entries per edge, and keyed by the memo's own int, so
+        # the cache holds no object of its own but one tuple per protocol state
         succ = succ_cache[bases[x]] = tuple(
-            [(e, tables[e], bases[encode(ps2)]) for e, ps2 in successors(decode(x))]
+            [y for e, ps2 in successors(decode(x)) for y in (e, tables[e], bases[encode(ps2)])]
         )
         return succ
 
@@ -279,7 +301,8 @@ def model_check(
         succ = succ_cache.get(base)
         if succ is None:
             succ = successors_of(base)
-        for e, table, base2 in succ:
+        it = iter(succ)
+        for e, table, base2 in zip(it, it, it):
             if table is None:
                 yield e, base2 + mid
             else:
@@ -297,12 +320,12 @@ def model_check(
     found = _search(
         roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key % size in goal
     )
-    states = len(found.parents)
+    states = len(found.keys)
     if found.goal is None:
         result = INCONCLUSIVE if found.exceeded else NO_VIOLATION
         return Verdict(k, result, states, found.transitions, found.max_depth)
-    key, depth = found.goal
-    root, path = _path(found.parents, key)
+    i, depth = found.goal
+    root, path = _path(found, i)
     init = roots[root]
     run = Run(path, Params(protocol.n, protocol.m, 2))
     trace, cycle = extract_cycle(protocol, run, init, k)
@@ -333,7 +356,7 @@ def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -
     found = _search(roots, expand, max_states)
     if found.exceeded:
         raise ParameterError(f"protocol exceeds {max_states} states")
-    return len(found.parents), found.transitions
+    return len(found.keys), found.transitions
 
 
 @dataclass(frozen=True)
@@ -418,9 +441,12 @@ def validate_assumptions(
     roots: dict = {}
     for ps in protocol.initial_states():
         roots.setdefault((protocol.encode_state(ps), empty_written), ps)
-    acausal: list[tuple[tuple, MemoryEvent]] = []  # (node, read) pairs
+    acausal: list[tuple[int, MemoryEvent]] = []  # (node id, read) pairs
+    # BFS expands keys in discovery order, so the n-th expansion is of id n
+    expanded = count()
 
     def expand(node: tuple):
+        node_id = next(expanded)
         key, written = node
         for e, ps2 in protocol.successors(protocol.decode_state(key)):
             written2 = written
@@ -428,7 +454,7 @@ def validate_assumptions(
                 values = written[e.loc - 1]
                 if e.op == READ:
                     if e.data not in values and len(acausal) < _VIOLATION_CAP:
-                        acausal.append((node, e))
+                        acausal.append((node_id, e))
                 elif e.data not in values:
                     written2 = (
                         written[: e.loc - 1]
@@ -439,26 +465,26 @@ def validate_assumptions(
 
     found = _search(roots, expand, None, depth_limit=depth)
 
-    def run_to(node: tuple, *extra: Event) -> tuple[Run, object]:
-        root, events = _path(found.parents, node)
+    def run_to(i: int, *extra: Event) -> tuple[Run, object]:
+        root, events = _path(found, i)
         run = Run(events + extra, Params(protocol.n, protocol.m, protocol.v))
         return run, roots[root]
 
     causality = []
-    for node, e in acausal:
-        run, _root = run_to(node, e)
+    for i, e in acausal:
+        run, _root = run_to(i, e)
         causality.append(CausalityViolation(run, len(run)))
 
-    keys = list(found.parents)
-    stride = max(1, len(keys) // run_samples) if run_samples > 0 else len(keys) + 1
-    sampled = keys[::stride][:run_samples]
+    nodes = len(found.keys)
+    stride = max(1, nodes // run_samples) if run_samples > 0 else nodes + 1
+    sampled = range(nodes)[::stride][:run_samples]
     proc_perms = [p for p in permutations(range(1, protocol.n + 1))][1:][:max_perms]
     loc_perms = [p for p in permutations(range(1, protocol.m + 1))][1:][:max_perms]
 
     symmetry: list[SymmetryViolation] = []
     checks = 0
-    for key in sampled:
-        run, root = run_to(key)
+    for i in sampled:
+        run, root = run_to(i)
         for kind, perms in (("proc", proc_perms), ("loc", loc_perms)):
             for perm in perms:
                 checks += 1
@@ -473,7 +499,7 @@ def validate_assumptions(
                         )
     return AssumptionReport(
         depth=depth,
-        nodes=len(found.parents),
+        nodes=nodes,
         edges=found.transitions,
         causality_violations=tuple(causality),
         runs_sampled=len(sampled),

@@ -2,13 +2,15 @@
 
 It keeps protocol states as objects and monitor states as the automata's
 own states, steps them with monitors.constrain_step and check_step on every
-event, and runs a plain breadth-first search with a parent map: no packed
-keys, tables, interning or caches.  It follows model_check's conventions:
-roots are the distinct initial states in order, every unblocked product
-edge is a transition, the search stops at the first newly reached state
-where every check is in err, and max_depth is that state's depth, or else
-the largest depth expanded.  Given max_states, it returns inconclusive as
-soon as more than max_states states are reached, after the goal test.
+event, and runs a plain breadth-first (or depth-first) search with a parent
+map: no packed keys, tables, interning or caches.  It follows model_check's
+conventions: roots are the distinct initial states in order, every
+unblocked product edge is a transition, the search stops at the first newly
+reached state where every check is in err, and max_depth is that state's
+depth, or else the largest depth expanded.  Given max_states, it returns
+inconclusive as soon as more than max_states states are reached, after the
+goal test.  Depth-first search pops the most recently pushed (state, depth)
+pair; a state's depth is the depth at which it was first reached.
 """
 from collections import deque
 
@@ -27,7 +29,7 @@ def monitor_step(monitors, e):
     return constraints, tuple(check_step(c, e) for c in checks)
 
 
-def reference_check(protocol, k, max_states=None):
+def reference_check(protocol, k, max_states=None, search="bfs"):
     """(result, states, transitions, max_depth, run events or None)."""
     start = (
         tuple(constrain_initial(j, k) for j in range(1, protocol.m + 1)),
@@ -39,9 +41,10 @@ def reference_check(protocol, k, max_states=None):
         if (s, start) not in parents:
             parents[(s, start)] = None
             frontier.append(((s, start), 0))
+    pop = frontier.pop if search == "dfs" else frontier.popleft
     transitions = max_depth = 0
     while frontier:
-        node, depth = frontier.popleft()
+        node, depth = pop()
         max_depth = max(max_depth, depth)
         s, monitors = node
         for e, s2 in protocol.successors(s):

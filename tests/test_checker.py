@@ -65,9 +65,12 @@ def assert_valid_counterexample(protocol, verdict):
 
 
 class TestModelCheck:
+    # The tests below that expect a goal pass max_states of about twice the
+    # states they need, so a search that misses the goal fails fast instead
+    # of filling memory.
     def test_buggy_k2_counterexample(self):
         p = make_protocol("piranha-buggy", 2, 2, 3)
-        v = model_check(p, 2)
+        v = model_check(p, 2, max_states=220_000)  # 109,686 needed
         assert_valid_counterexample(p, v)
         # BFS with the fixed event order lands on the shortest product run
         assert v.max_depth == 12
@@ -92,11 +95,12 @@ class TestModelCheck:
 
     def test_deterministic(self):
         p = make_protocol("piranha-buggy", 2, 2, 2)
-        assert model_check(p, 2) == model_check(p, 2)
+        # 52,182 states needed
+        assert model_check(p, 2, max_states=105_000) == model_check(p, 2, max_states=105_000)
 
     def test_dfs_also_finds_violation(self):
         p = make_protocol("piranha-buggy", 2, 2, 2)
-        v = model_check(p, 1, search="dfs")
+        v = model_check(p, 1, search="dfs", max_states=125_000)  # 61,792 needed
         assert_valid_counterexample(p, v)
         # DFS runs are long; the extracted cycle must still verify
         assert len(v.run.events) > 12
@@ -150,14 +154,20 @@ class TestModelCheck:
         assert [e["op"] for e in d["unambiguous_trace"]] == ["W", "R", "W", "R"]
 
 
+# (n, m, k) of the differential tests below
+SMALL = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
+BOUNDED = [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
+# DFS on piranha-buggy 2x2 Q2 k=2 reaches its goal only after 1,440,304
+# states; every other SMALL configuration ends below 62,000 in either order
+DFS_CAP = 70_000
+
+
 class TestAgainstReference:
     # every configuration with n, m <= 2 and queue bound <= 2, both variants
     # and every k, against the naive search of reference_checker.py
     @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
     @pytest.mark.parametrize("q", [1, 2])
-    @pytest.mark.parametrize(
-        "n, m, k", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
-    )
+    @pytest.mark.parametrize("n, m, k", SMALL)
     def test_same_verdict(self, name, n, m, q, k):
         p = make_protocol(name, n, m, q)
         v = model_check(p, k)
@@ -166,14 +176,32 @@ class TestAgainstReference:
 
     # k = 3 (216 monitor vectors) and locations beyond k, cut at 5000 states
     @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
-    @pytest.mark.parametrize(
-        "n, m, k", [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
-    )
+    @pytest.mark.parametrize("n, m, k", BOUNDED)
     def test_same_bounded_verdict(self, name, n, m, k):
         p = make_protocol(name, n, m, 1)
         v = model_check(p, k, max_states=5000)
         run = None if v.run is None else v.run.events
         expected = reference_check(p, k, max_states=5000)
+        assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
+
+    # the same configurations in depth-first order, cut at DFS_CAP states
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n, m, k", SMALL)
+    def test_same_dfs_verdict(self, name, n, m, q, k):
+        p = make_protocol(name, n, m, q)
+        v = model_check(p, k, max_states=DFS_CAP, search="dfs")
+        run = None if v.run is None else v.run.events
+        expected = reference_check(p, k, max_states=DFS_CAP, search="dfs")
+        assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
+
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("n, m, k", BOUNDED)
+    def test_same_bounded_dfs_verdict(self, name, n, m, k):
+        p = make_protocol(name, n, m, 1)
+        v = model_check(p, k, max_states=5000, search="dfs")
+        run = None if v.run is None else v.run.events
+        expected = reference_check(p, k, max_states=5000, search="dfs")
         assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
 
     # a one-state protocol whose reads may return 1 without a write: the
@@ -185,6 +213,76 @@ class TestAgainstReference:
         p = HallucinatingReadProtocol(n, m)
         v = model_check(p, k)
         assert (v.result, v.states, v.transitions, v.max_depth, v.run.events) == reference_check(p, k)
+
+
+# A hand-built graph for the search engine: keys are letters, the event of
+# an edge names its two ends.
+GRAPH = {
+    "a": [("ab", "b"), ("ac", "c")],
+    "b": [("bd", "d"), ("bc", "c"), ("be", "e")],
+    "c": [("ca", "a"), ("cf", "f")],
+    "d": [("dg", "g")],
+    "e": [("eg", "g"), ("eh", "h")],
+    "f": [("fh", "h")],
+    "g": [("ga", "a")],
+    "h": [],
+}
+
+
+class TestSearchEngine:
+    """checker._search on GRAPH.  Each expected value is (states,
+    transitions, max_depth, (goal key, depth), (root, events to the goal),
+    exceeded, keys in discovery order)."""
+
+    @pytest.mark.parametrize(
+        "roots, options, expected",
+        [
+            # duplicate roots are reached once
+            ("aac", {}, (8, 12, 3, None, None, False, "acbfdehg")),
+            # h is first reached from f, the last key of level 1
+            ("aca", {"goal": "h"}, (7, 8, 1, ("h", 2), ("c", ("cf", "fh")), False, "acbfdeh")),
+            # a root is never a newly reached key, so never a goal
+            ("a", {"goal": "a"}, (8, 12, 3, None, None, False, "abcdefgh")),
+            ("ac", {"depth_limit": 0}, (2, 0, 0, None, None, False, "ac")),
+            ("ac", {"depth_limit": 1}, (4, 4, 1, None, None, False, "acbf")),
+            ("ac", {"depth_limit": 2}, (7, 8, 2, None, None, False, "acbfdeh")),
+            ("ac", {"max_states": 4}, (5, 5, 1, None, None, True, "acbfd")),
+            ("ac", {"max_states": 7}, (8, 9, 2, None, None, True, "acbfdehg")),
+            ("ac", {"max_states": 8}, (8, 12, 3, None, None, False, "acbfdehg")),
+            ("", {}, (0, 0, 0, None, None, False, "")),
+            ("aac", {"dfs": True}, (8, 12, 3, None, None, False, "acfhbdeg")),
+            (
+                "ac",
+                {"dfs": True, "goal": "g"},
+                (8, 9, 2, ("g", 3), ("a", ("ab", "be", "eg")), False, "acfhbdeg"),
+            ),
+            (
+                "a",
+                {"dfs": True, "goal": "h"},
+                (5, 5, 2, ("h", 3), ("a", ("ac", "cf", "fh")), False, "abcfh"),
+            ),
+            ("ac", {"dfs": True, "depth_limit": 1}, (4, 4, 1, None, None, False, "acfb")),
+            ("ac", {"dfs": True, "depth_limit": 2}, (7, 8, 2, None, None, False, "acfhbde")),
+            ("ac", {"dfs": True, "max_states": 4}, (5, 4, 2, None, None, True, "acfhb")),
+        ],
+    )
+    def test_search(self, roots, options, expected):
+        options = dict(options)
+        goal = options.pop("goal", None)
+        found = checker._search(
+            roots,
+            lambda key: iter(GRAPH[key]),
+            options.pop("max_states", None),
+            goal=None if goal is None else lambda key: key == goal,
+            **options,
+        )
+        goal_key = path = None
+        if found.goal is not None:
+            i, depth = found.goal
+            goal_key = (found.keys[i], depth)
+            path = checker._path(found, i)
+        result = (len(found.keys), found.transitions, found.max_depth, goal_key, path)
+        assert result + (found.exceeded, "".join(found.keys)) == expected
 
 
 class TestProtocolCalls:
