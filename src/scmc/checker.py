@@ -14,7 +14,7 @@ import gc
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import count, permutations, product
+from itertools import permutations, product
 from typing import NamedTuple, Optional
 
 from . import monitors
@@ -146,7 +146,7 @@ def _gc_paused(fn):
 
 
 class _Search(NamedTuple):
-    keys: list  # every key reached, in discovery order; a key's id is its index
+    keys: array  # every key reached, in discovery order; a key's id is its index
     parent: array  # id -> the id it was first reached from; -1 for roots
     event: list  # id -> the event that first reached it; None for roots
     transitions: int
@@ -155,8 +155,12 @@ class _Search(NamedTuple):
     exceeded: bool  # stopped because more than max_states keys were reached
 
 
+_PAGE_BITS = 19  # a visited-bitmap page covers 2**19 keys in 64 KiB
+_BITS = tuple(1 << b for b in range(8))
+
+
 def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -> _Search:
-    """Breadth-first (or depth-first) search over hashable keys.
+    """Breadth-first (or depth-first) search over non-negative int keys.
 
     expand(key) yields (event, successor key) pairs in a fixed order, and
     every pair counts as a transition.  Keys at depth_limit are reached but
@@ -164,18 +168,34 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
     goal(key), or as soon as more than max_states keys (None: no bound) are
     reached.
 
-    Keys are numbered in discovery order, so no structure holds an object per
-    key beyond the key itself.  BFS discovers keys in the order it expands
-    them: a cursor walks `keys`, and a level ends where `keys` ended when the
-    level began.  DFS pops (id, depth) pairs from a flat stack.
+    Keys are numbered in discovery order and kept in int arrays, so no
+    structure holds an object per key.  The visited set is a bitmap: bit
+    key & 7 of byte key >> 3 & 0xFFFF of page key >> 19.  A page is
+    allocated when a key on it is first reached, so sparse keys cost a few
+    pages plus a list slot per 2**19 keys below the largest.  BFS discovers
+    keys in the order it expands them: a cursor walks `keys`, and a level
+    ends where `keys` ended when the level began.  DFS pops (id, depth)
+    pairs from a flat stack.
     """
-    keys = list(dict.fromkeys(roots))
-    seen = set(keys)
+    keys = array("q", dict.fromkeys(roots))
+    pages: list = []  # bitmap pages; b"" stands for a page with no key reached
+
+    def page_of(key: int) -> bytearray:
+        hi = key >> _PAGE_BITS
+        if hi >= len(pages):
+            pages.extend([b""] * (hi + 1 - len(pages)))
+        if not pages[hi]:
+            pages[hi] = bytearray(1 << (_PAGE_BITS - 3))
+        return pages[hi]
+
+    shift, mask, bits = _PAGE_BITS, (1 << (_PAGE_BITS - 3)) - 1, _BITS
+    for key in keys:
+        page_of(key)[key >> 3 & mask] |= bits[key & 7]
     parent = array("q", [-1]) * len(keys)
     event: list = [None] * len(keys)
     stack = array("q", [x for i in range(len(keys)) for x in (i, 0)]) if dfs else None
     bound = sys.maxsize if max_states is None else max_states
-    add, append, append_parent, append_event = seen.add, keys.append, parent.append, event.append
+    append, append_parent, append_event = keys.append, parent.append, event.append
     transitions = max_depth = depth = cursor = 0
     level_end = len(keys)
     while True:
@@ -199,9 +219,12 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
         first = len(keys)
         for e, key2 in expand(keys[i]):
             transitions += 1
-            if key2 in seen:
-                continue
-            add(key2)
+            try:
+                if pages[key2 >> shift][key2 >> 3 & mask] & bits[key2 & 7]:
+                    continue
+            except IndexError:  # no key on this page reached yet
+                page_of(key2)
+            pages[key2 >> shift][key2 >> 3 & mask] |= bits[key2 & 7]
             append(key2)
             append_parent(i)
             append_event(e)
@@ -215,6 +238,21 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
                 stack.append(j)
                 stack.append(depth + 1)
     return _Search(keys, parent, event, transitions, max_depth, None, False)
+
+
+def _numbering() -> tuple[list, _Memo]:
+    """A list and a memo that numbers each new value by appending it there.
+
+    Values are numbered in the order first met, so when a search meets them
+    in discovery order, a value's number is its search id.
+    """
+    values: list = []
+
+    def number(x) -> int:
+        values.append(x)
+        return len(values) - 1
+
+    return values, _Memo(number)
 
 
 def _path(found: _Search, i: int) -> tuple[object, tuple[Event, ...]]:
@@ -236,9 +274,11 @@ def model_check(
     """Explore the monitor product at cycle size k until a violation or closure.
 
     BFS (the default) visits states in breadth order, so the first
-    counterexample found is among the shortest; DFS may answer faster on
-    violating systems but gives no such guarantee.  Exceeding max_states
-    returns an inconclusive verdict rather than an error.
+    counterexample found is among the shortest.  DFS gives no such
+    guarantee, and is not reliably faster on violating systems either: on
+    piranha-buggy 2x2 Q2 k=2 it reaches its counterexample after 1,440,304
+    states, BFS after 52,182.  Exceeding max_states returns an inconclusive
+    verdict rather than an error.
     """
     if protocol.v != 2:
         raise ParameterError(f"monitor composition requires v = 2, protocol has v = {protocol.v}")
@@ -256,6 +296,8 @@ def model_check(
     # mid indexes `vectors`, the monitors' own states: one constraint per
     # location, then one check per processor 1..k.  Each event has a table
     # from mid to the mid after the event (None: a constraint blocks it).
+    # Keys stay below (number of pids) * size, so the visited bitmap needs
+    # about size bits per protocol state.
     m = protocol.m
     automata = [ConstrainAutomaton(j, k) for j in range(1, m + 1)]
     automata += [CheckAutomaton(i, k) for i in range(1, k + 1)]
@@ -264,7 +306,7 @@ def model_check(
     mids = {vec: mid for mid, vec in enumerate(vectors)}
     unmoved = list(range(size))
     packed: list[bytes] = []
-    succ_cache: dict[int, tuple] = {}  # pid * size -> (e, table, base2, e, table, base2, ...)
+    succ_cache: dict[int, tuple] = {}  # pid * size -> (edge, base2, edge, base2, ...)
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
 
     def number(x: bytes) -> int:
@@ -282,16 +324,17 @@ def model_check(
             table.append(None if None in vec2 else mids[vec2])
         return None if table == unmoved else tuple(table)
 
-    tables = _Memo(monitor_table)  # event -> its monitor table; None: moves none
+    # event -> (event, its monitor table; None: moves none)
+    edges = _Memo(lambda e: (e, monitor_table(e)))
 
     def successors_of(base: int) -> tuple:
         if len(succ_cache) >= _SUCC_CACHE_MAX:
             succ_cache.clear()
         x = packed[base // size]
-        # flat, three entries per edge, and keyed by the memo's own int, so
+        # flat, two entries per edge, and keyed by the memo's own int, so
         # the cache holds no object of its own but one tuple per protocol state
         succ = succ_cache[bases[x]] = tuple(
-            [y for e, ps2 in successors(decode(x)) for y in (e, tables[e], bases[encode(ps2)])]
+            [y for e, ps2 in successors(decode(x)) for y in (edges[e], bases[encode(ps2)])]
         )
         return succ
 
@@ -302,7 +345,7 @@ def model_check(
         if succ is None:
             succ = successors_of(base)
         it = iter(succ)
-        for e, table, base2 in zip(it, it, it):
+        for (e, table), base2 in zip(it, it):
             if table is None:
                 yield e, base2 + mid
             else:
@@ -347,12 +390,13 @@ def check_all_k(
 @_gc_paused
 def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -> tuple[int, int]:
     """Reachable (states, transitions) of the bare protocol, no monitors."""
+    packed, ids = _numbering()  # id <-> packed protocol state
 
-    def expand(key: bytes):
-        for e, ps2 in protocol.successors(protocol.decode_state(key)):
-            yield e, protocol.encode_state(ps2)
+    def expand(i: int):
+        for e, ps2 in protocol.successors(protocol.decode_state(packed[i])):
+            yield e, ids[protocol.encode_state(ps2)]
 
-    roots = [protocol.encode_state(ps) for ps in protocol.initial_states()]
+    roots = [ids[protocol.encode_state(ps)] for ps in protocol.initial_states()]
     found = _search(roots, expand, max_states)
     if found.exceeded:
         raise ParameterError(f"protocol exceeds {max_states} states")
@@ -438,16 +482,14 @@ def validate_assumptions(
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     empty_written = (frozenset(),) * protocol.m
-    roots: dict = {}
+    by_id, ids = _numbering()  # id <-> (packed state, written)
+    roots: dict[int, object] = {}
     for ps in protocol.initial_states():
-        roots.setdefault((protocol.encode_state(ps), empty_written), ps)
+        roots.setdefault(ids[(protocol.encode_state(ps), empty_written)], ps)
     acausal: list[tuple[int, MemoryEvent]] = []  # (node id, read) pairs
-    # BFS expands keys in discovery order, so the n-th expansion is of id n
-    expanded = count()
 
-    def expand(node: tuple):
-        node_id = next(expanded)
-        key, written = node
+    def expand(node_id: int):
+        key, written = by_id[node_id]
         for e, ps2 in protocol.successors(protocol.decode_state(key)):
             written2 = written
             if isinstance(e, MemoryEvent) and e.data != 0:
@@ -461,7 +503,7 @@ def validate_assumptions(
                         + (values | {e.data},)
                         + written[e.loc :]
                     )
-            yield e, (protocol.encode_state(ps2), written2)
+            yield e, ids[(protocol.encode_state(ps2), written2)]
 
     found = _search(roots, expand, None, depth_limit=depth)
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 
@@ -215,8 +216,8 @@ class TestAgainstReference:
         assert (v.result, v.states, v.transitions, v.max_depth, v.run.events) == reference_check(p, k)
 
 
-# A hand-built graph for the search engine: keys are letters, the event of
-# an edge names its two ends.
+# A hand-built graph for the search engine: nodes are letters, the event of
+# an edge names its two ends.  The search runs on int ids for the letters.
 GRAPH = {
     "a": [("ab", "b"), ("ac", "c")],
     "b": [("bd", "d"), ("bc", "c"), ("be", "e")],
@@ -227,62 +228,116 @@ GRAPH = {
     "g": [("ga", "a")],
     "h": [],
 }
+DENSE = {x: i for i, x in enumerate("abcdefgh")}
+# ids far past the first bitmap page (2**19 keys) and on pages far apart;
+# b and e share a byte, a and d a bit of adjacent bytes, a and f a bit of
+# the first and the middle byte of a page, f and g lie on adjacent pages,
+# and a keeps id 0
+FAR = {
+    "a": 0,
+    "b": 2**24 + 3,
+    "c": 2**33 + 5,
+    "d": 8,
+    "e": 2**24 + 4,
+    "f": 2**18,
+    "g": 2**19,
+    "h": 2**33 + 2**19 + 1,
+}
+
+# (roots, options, expected); each expected value is (states, transitions,
+# max_depth, (goal node, depth), (root, events to the goal), exceeded, nodes
+# in discovery order)
+SEARCH_CASES = [
+    # duplicate roots are reached once
+    ("aac", {}, (8, 12, 3, None, None, False, "acbfdehg")),
+    # h is first reached from f, the last node of level 1
+    ("aca", {"goal": "h"}, (7, 8, 1, ("h", 2), ("c", ("cf", "fh")), False, "acbfdeh")),
+    # a root is never a newly reached node, so never a goal
+    ("a", {"goal": "a"}, (8, 12, 3, None, None, False, "abcdefgh")),
+    ("ac", {"depth_limit": 0}, (2, 0, 0, None, None, False, "ac")),
+    ("ac", {"depth_limit": 1}, (4, 4, 1, None, None, False, "acbf")),
+    ("ac", {"depth_limit": 2}, (7, 8, 2, None, None, False, "acbfdeh")),
+    ("ac", {"max_states": 4}, (5, 5, 1, None, None, True, "acbfd")),
+    ("ac", {"max_states": 7}, (8, 9, 2, None, None, True, "acbfdehg")),
+    ("ac", {"max_states": 8}, (8, 12, 3, None, None, False, "acbfdehg")),
+    ("", {}, (0, 0, 0, None, None, False, "")),
+    ("aac", {"dfs": True}, (8, 12, 3, None, None, False, "acfhbdeg")),
+    (
+        "ac",
+        {"dfs": True, "goal": "g"},
+        (8, 9, 2, ("g", 3), ("a", ("ab", "be", "eg")), False, "acfhbdeg"),
+    ),
+    (
+        "a",
+        {"dfs": True, "goal": "h"},
+        (5, 5, 2, ("h", 3), ("a", ("ac", "cf", "fh")), False, "abcfh"),
+    ),
+    ("ac", {"dfs": True, "depth_limit": 1}, (4, 4, 1, None, None, False, "acfb")),
+    ("ac", {"dfs": True, "depth_limit": 2}, (7, 8, 2, None, None, False, "acfhbde")),
+    ("ac", {"dfs": True, "max_states": 4}, (5, 4, 2, None, None, True, "acfhb")),
+]
+
+
+def search_graph(ids, roots, options):
+    """checker._search on GRAPH with node x numbered ids[x], its result
+    read back in letters."""
+    options = dict(options)
+    goal = options.pop("goal", None)
+    graph = {ids[x]: [(e, ids[y]) for e, y in edges] for x, edges in GRAPH.items()}
+    node = {i: x for x, i in ids.items()}
+    found = checker._search(
+        [ids[x] for x in roots],
+        lambda key: iter(graph[key]),
+        options.pop("max_states", None),
+        goal=None if goal is None else lambda key: key == ids[goal],
+        **options,
+    )
+    goal_node = path = None
+    if found.goal is not None:
+        i, depth = found.goal
+        goal_node = (node[found.keys[i]], depth)
+        root, events = checker._path(found, i)
+        path = (node[root], events)
+    result = (len(found.keys), found.transitions, found.max_depth, goal_node, path)
+    return result + (found.exceeded, "".join(node[key] for key in found.keys))
 
 
 class TestSearchEngine:
-    """checker._search on GRAPH.  Each expected value is (states,
-    transitions, max_depth, (goal key, depth), (root, events to the goal),
-    exceeded, keys in discovery order)."""
+    """checker._search on GRAPH; the expected values were recorded from a
+    search engine whose visited set was a Python set."""
 
-    @pytest.mark.parametrize(
-        "roots, options, expected",
-        [
-            # duplicate roots are reached once
-            ("aac", {}, (8, 12, 3, None, None, False, "acbfdehg")),
-            # h is first reached from f, the last key of level 1
-            ("aca", {"goal": "h"}, (7, 8, 1, ("h", 2), ("c", ("cf", "fh")), False, "acbfdeh")),
-            # a root is never a newly reached key, so never a goal
-            ("a", {"goal": "a"}, (8, 12, 3, None, None, False, "abcdefgh")),
-            ("ac", {"depth_limit": 0}, (2, 0, 0, None, None, False, "ac")),
-            ("ac", {"depth_limit": 1}, (4, 4, 1, None, None, False, "acbf")),
-            ("ac", {"depth_limit": 2}, (7, 8, 2, None, None, False, "acbfdeh")),
-            ("ac", {"max_states": 4}, (5, 5, 1, None, None, True, "acbfd")),
-            ("ac", {"max_states": 7}, (8, 9, 2, None, None, True, "acbfdehg")),
-            ("ac", {"max_states": 8}, (8, 12, 3, None, None, False, "acbfdehg")),
-            ("", {}, (0, 0, 0, None, None, False, "")),
-            ("aac", {"dfs": True}, (8, 12, 3, None, None, False, "acfhbdeg")),
-            (
-                "ac",
-                {"dfs": True, "goal": "g"},
-                (8, 9, 2, ("g", 3), ("a", ("ab", "be", "eg")), False, "acfhbdeg"),
-            ),
-            (
-                "a",
-                {"dfs": True, "goal": "h"},
-                (5, 5, 2, ("h", 3), ("a", ("ac", "cf", "fh")), False, "abcfh"),
-            ),
-            ("ac", {"dfs": True, "depth_limit": 1}, (4, 4, 1, None, None, False, "acfb")),
-            ("ac", {"dfs": True, "depth_limit": 2}, (7, 8, 2, None, None, False, "acfhbde")),
-            ("ac", {"dfs": True, "max_states": 4}, (5, 4, 2, None, None, True, "acfhb")),
-        ],
-    )
+    @pytest.mark.parametrize("roots, options, expected", SEARCH_CASES)
     def test_search(self, roots, options, expected):
-        options = dict(options)
-        goal = options.pop("goal", None)
-        found = checker._search(
-            roots,
-            lambda key: iter(GRAPH[key]),
-            options.pop("max_states", None),
-            goal=None if goal is None else lambda key: key == goal,
-            **options,
-        )
-        goal_key = path = None
-        if found.goal is not None:
-            i, depth = found.goal
-            goal_key = (found.keys[i], depth)
-            path = checker._path(found, i)
-        result = (len(found.keys), found.transitions, found.max_depth, goal_key, path)
-        assert result + (found.exceeded, "".join(found.keys)) == expected
+        assert search_graph(DENSE, roots, options) == expected
+
+    # the same cases with ids that lie on bitmap pages far apart
+    @pytest.mark.parametrize("roots, options, expected", SEARCH_CASES)
+    def test_far_keys(self, roots, options, expected):
+        tracemalloc.start()
+        try:
+            result = search_graph(FAR, roots, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        # a few 64 KiB pages and the page list, not a bitmap up to 2**33
+        assert peak < 2**20
+
+
+class TestSearchMemory:
+    def test_bytes_per_state(self):
+        # what model_check keeps per product state is array entries, bitmap
+        # bits and shares of per-protocol-state objects; an int or tuple per
+        # state, as in a set of keys, would cost 60 B or more
+        p = make_protocol("piranha-buggy", 2, 2, 3)
+        tracemalloc.start()
+        try:
+            v = model_check(p, 2, max_states=220_000)  # 109,686 needed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.states == 109_686
+        assert peak <= 240 * v.states
 
 
 class TestProtocolCalls:
