@@ -159,23 +159,22 @@ _PAGE_BITS = 19  # a visited-bitmap page covers 2**19 keys in 64 KiB
 _BITS = tuple(1 << b for b in range(8))
 
 
-def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -> _Search:
-    """Breadth-first (or depth-first) search over non-negative int keys.
+def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
+    """Breadth-first search over non-negative int keys.
 
     expand(key) yields (event, successor key) pairs in a fixed order, and
     every pair counts as a transition.  Keys at depth_limit are reached but
     not expanded.  The search stops at the first newly reached key passing
     goal(key), or as soon as more than max_states keys (None: no bound) are
-    reached.
+    reached.  Breadth-first order makes the path to a goal a shortest one.
 
     Keys are numbered in discovery order and kept in int arrays, so no
     structure holds an object per key.  The visited set is a bitmap: bit
     key & 7 of byte key >> 3 & 0xFFFF of page key >> 19.  A page is
     allocated when a key on it is first reached, so sparse keys cost a few
-    pages plus a list slot per 2**19 keys below the largest.  BFS discovers
-    keys in the order it expands them: a cursor walks `keys`, and a level
-    ends where `keys` ended when the level began.  DFS pops (id, depth)
-    pairs from a flat stack.
+    pages plus a list slot per 2**19 keys below the largest.  Keys are
+    expanded in the order they are discovered: a cursor walks `keys`, and a
+    level ends where `keys` ended when the level began.
     """
     keys = array("q", dict.fromkeys(roots))
     pages: list = []  # bitmap pages; b"" stands for a page with no key reached
@@ -193,30 +192,18 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
         page_of(key)[key >> 3 & mask] |= bits[key & 7]
     parent = array("q", [-1]) * len(keys)
     event: list = [None] * len(keys)
-    stack = array("q", [x for i in range(len(keys)) for x in (i, 0)]) if dfs else None
     bound = sys.maxsize if max_states is None else max_states
     append, append_parent, append_event = keys.append, parent.append, event.append
-    transitions = max_depth = depth = cursor = 0
+    transitions = depth = cursor = 0
     level_end = len(keys)
-    while True:
-        if dfs:
-            if not stack:
-                break
-            depth = stack.pop()
-            i = stack.pop()
-        else:
-            if cursor == len(keys):
-                break
-            if cursor == level_end:
-                depth += 1
-                level_end = len(keys)
-            i = cursor
-            cursor += 1
-        if depth > max_depth:
-            max_depth = depth
+    while cursor < len(keys):
+        if cursor == level_end:
+            depth += 1
+            level_end = len(keys)
         if depth == depth_limit:
-            continue
-        first = len(keys)
+            break
+        i = cursor
+        cursor += 1
         for e, key2 in expand(keys[i]):
             transitions += 1
             try:
@@ -230,14 +217,10 @@ def _search(roots, expand, max_states, dfs=False, depth_limit=None, goal=None) -
             append_event(e)
             if goal is not None and goal(key2):
                 goal_at = (len(keys) - 1, depth + 1)
-                return _Search(keys, parent, event, transitions, max_depth, goal_at, False)
+                return _Search(keys, parent, event, transitions, depth, goal_at, False)
             if len(keys) > bound:
-                return _Search(keys, parent, event, transitions, max_depth, None, True)
-        if dfs:
-            for j in range(first, len(keys)):
-                stack.append(j)
-                stack.append(depth + 1)
-    return _Search(keys, parent, event, transitions, max_depth, None, False)
+                return _Search(keys, parent, event, transitions, depth, None, True)
+    return _Search(keys, parent, event, transitions, depth, None, False)
 
 
 def _numbering() -> tuple[list, _Memo]:
@@ -265,28 +248,18 @@ def _path(found: _Search, i: int) -> tuple[object, tuple[Event, ...]]:
 
 
 @_gc_paused
-def model_check(
-    protocol: MemorySystem,
-    k: int,
-    max_states: int = DEFAULT_MAX_STATES,
-    search: str = "bfs",
-) -> Verdict:
+def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_STATES) -> Verdict:
     """Explore the monitor product at cycle size k until a violation or closure.
 
-    BFS (the default) visits states in breadth order, so the first
-    counterexample found is among the shortest.  DFS gives no such
-    guarantee, and is not reliably faster on violating systems either: on
-    piranha-buggy 2x2 Q2 k=2 it reaches its counterexample after 1,440,304
-    states, BFS after 52,182.  Exceeding max_states returns an inconclusive
-    verdict rather than an error.
+    The search is breadth-first, so the first counterexample found is a
+    shortest one.  Exceeding max_states returns an inconclusive verdict
+    rather than an error.
     """
     if protocol.v != 2:
         raise ParameterError(f"monitor composition requires v = 2, protocol has v = {protocol.v}")
     k_max = min(protocol.n, protocol.m)
     if not 1 <= k <= k_max:
         raise ParameterError(f"k {k} outside 1..{k_max}")
-    if search not in ("bfs", "dfs"):
-        raise ParameterError(f"search must be 'bfs' or 'dfs', got {search!r}")
     if max_states < 1:
         raise ParameterError(f"max_states must be >= 1, got {max_states}")
 
@@ -360,9 +333,7 @@ def model_check(
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():
         roots.setdefault(bases[encode(ps)] + start, ps)
-    found = _search(
-        roots, expand, max_states, dfs=search == "dfs", goal=lambda key: key % size in goal
-    )
+    found = _search(roots, expand, max_states, goal=lambda key: key % size in goal)
     states = len(found.keys)
     if found.goal is None:
         result = INCONCLUSIVE if found.exceeded else NO_VIOLATION
@@ -375,14 +346,10 @@ def model_check(
     return Verdict(k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init)
 
 
-def check_all_k(
-    protocol: MemorySystem,
-    max_states: int = DEFAULT_MAX_STATES,
-    search: str = "bfs",
-) -> list[Verdict]:
+def check_all_k(protocol: MemorySystem, max_states: int = DEFAULT_MAX_STATES) -> list[Verdict]:
     """model_check for every k in 1..min(n, m), ascending."""
     return [
-        model_check(protocol, k, max_states=max_states, search=search)
+        model_check(protocol, k, max_states=max_states)
         for k in range(1, min(protocol.n, protocol.m) + 1)
     ]
 

@@ -31,6 +31,7 @@ from .checker import (
 )
 from .errors import (
     DataIndependenceError,
+    FormatError,
     OracleBoundError,
     ParameterError,
     PreconditionError,
@@ -75,7 +76,6 @@ class Config:
     k: Union[int, str] = "all"
     queue_bound: int = DEFAULT_QUEUE_BOUND
     max_states: int = DEFAULT_MAX_STATES
-    search: str = "bfs"
     format: str = "text"
     output: Optional[str] = None
 
@@ -98,18 +98,28 @@ def format_event(e: Event) -> str:
     return f"{e.label}({','.join(str(p) for p in e.params)})"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str]) -> None:
     body = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(text_lines)
     if output:
-        Path(output).write_text(body + "\n", encoding="utf-8")
+        _write(output, body + "\n")
     else:
         print(body)
 
 
 def _read_input(path: str) -> str:
+    """The text of path, or of stdin for "-", decoded as strict UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        data = Path(path).read_bytes()
+    return data if isinstance(data, str) else data.decode("utf-8")
 
 
 def _load_run(path: str) -> Run:
@@ -117,6 +127,9 @@ def _load_run(path: str) -> Run:
         text = _read_input(path)
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise FormatError(f"{source} is not UTF-8 text: byte {exc.start} is invalid") from None
     return loads_run_jsonl(text)
 
 
@@ -140,16 +153,9 @@ def state_to_json(state: PiranhaState) -> dict:
 def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
     protocol = make_protocol(config.protocol, config.n, config.m, config.queue_bound)
     k_max = min(config.n, config.m)
-    if config.k == "all":
-        ks = list(range(1, k_max + 1))
-    else:
-        if not 1 <= int(config.k) <= k_max:
-            raise ParameterError(f"k {config.k} outside 1..{k_max}")
-        ks = [int(config.k)]
-    verdicts: list[Verdict] = [
-        model_check(protocol, k, max_states=config.max_states, search=config.search)
-        for k in ks
-    ]
+    ks = list(range(1, k_max + 1)) if config.k == "all" else [int(config.k)]
+    # model_check rejects a k outside 1..k_max
+    verdicts: list[Verdict] = [model_check(protocol, k, max_states=config.max_states) for k in ks]
     results = [v.result for v in verdicts]
     if COUNTEREXAMPLE in results:
         overall, code = "violation", EXIT_VIOLATION
@@ -162,7 +168,7 @@ def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
     if emit_run is not None:
         witness_v = next((v for v in verdicts if v.result == COUNTEREXAMPLE), None)
         if witness_v is not None:
-            Path(emit_run).write_text(dumps_jsonl(witness_v.run), encoding="utf-8")
+            _write(emit_run, dumps_jsonl(witness_v.run))
             emitted = emit_run
 
     lines = []
@@ -421,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycle size to check, or 'all' for 1..min(n,m)")
     p.add_argument("--queue-bound", type=int, default=DEFAULT_QUEUE_BOUND)
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--search", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--emit-run", metavar="PATH", default=None,
                    help="write the first counterexample run to PATH as JSON lines")
     p.add_argument("--print-config", action="store_true",
@@ -481,7 +486,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 k=_parse_k(args.k),
                 queue_bound=args.queue_bound,
                 max_states=args.max_states,
-                search=args.search,
                 format=args.format,
                 output=args.output,
             )

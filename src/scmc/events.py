@@ -245,7 +245,8 @@ def permute_locs(trace: Trace, perm: Iterable[int]) -> Trace:
 #
 # First line is a header {"n": INT, "m": INT, "v": INT}; every further line
 # is one event, either {"op": "R"|"W", "proc": INT, "loc": INT, "data": INT}
-# or {"internal": LABEL, "params": [INT, ...]}.
+# or {"internal": LABEL, "params": [INT, ...]}.  An INT is a JSON integer;
+# true and false are not accepted as one.
 
 def event_to_json(e: Event) -> dict:
     if isinstance(e, MemoryEvent):
@@ -276,7 +277,7 @@ def _parse_event(record: object, line: int) -> Event:
         if keys != _MEMORY_KEYS:
             raise FormatError(f"memory event keys must be {sorted(_MEMORY_KEYS)}", line)
         op, proc, loc, data = record["op"], record["proc"], record["loc"], record["data"]
-        if not all(isinstance(x, int) for x in (proc, loc, data)):
+        if not all(type(x) is int for x in (proc, loc, data)):
             raise FormatError("proc, loc and data must be integers", line)
         return MemoryEvent(op, proc, loc, data)
     if "internal" in keys:
@@ -285,7 +286,7 @@ def _parse_event(record: object, line: int) -> Event:
         label, params = record["internal"], record["params"]
         if not isinstance(label, str):
             raise FormatError("internal label must be a string", line)
-        if not (isinstance(params, list) and all(isinstance(p, int) for p in params)):
+        if not (isinstance(params, list) and all(type(p) is int for p in params)):
             raise FormatError("params must be a list of integers", line)
         return InternalEvent(label, tuple(params))
     raise FormatError(f"event object needs an 'op' or 'internal' key, got {sorted(keys)}", line)
@@ -305,7 +306,7 @@ def loads_run_jsonl(text: str) -> Run:
         if header is None:
             if not (isinstance(record, dict) and set(record) == {"n", "m", "v"}):
                 raise FormatError('first line must be a header {"n", "m", "v"}', line_no)
-            if not all(isinstance(record[k], int) for k in ("n", "m", "v")):
+            if not all(type(record[k]) is int for k in ("n", "m", "v")):
                 raise FormatError("header values must be integers", line_no)
             header = Params(record["n"], record["m"], record["v"])
             continue

@@ -99,23 +99,13 @@ class TestModelCheck:
         # 52,182 states needed
         assert model_check(p, 2, max_states=105_000) == model_check(p, 2, max_states=105_000)
 
-    def test_dfs_also_finds_violation(self):
-        p = make_protocol("piranha-buggy", 2, 2, 2)
-        v = model_check(p, 1, search="dfs", max_states=125_000)  # 61,792 needed
-        assert_valid_counterexample(p, v)
-        # DFS runs are long; the extracted cycle must still verify
-        assert len(v.run.events) > 12
-        assert (v.states, v.transitions, v.max_depth) == (61792, 414450, 251)
-
     def test_max_states_inconclusive(self):
         p = make_protocol("piranha-buggy", 2, 2, 3)
-        for search, counts in (("bfs", (101, 279, 2)), ("dfs", (101, 185, 20))):
-            v = model_check(p, 2, max_states=100, search=search)
-            assert v.result == INCONCLUSIVE
-            assert (v.states, v.transitions, v.max_depth) == counts
-            assert v.run is None and v.cycle is None
+        v = model_check(p, 2, max_states=100)
+        assert v.result == INCONCLUSIVE
+        assert (v.states, v.transitions, v.max_depth) == (101, 279, 2)
+        assert v.run is None and v.cycle is None
 
-    @pytest.mark.parametrize("search", ["bfs", "dfs"])
     @pytest.mark.parametrize(
         "n, m, k, counts",
         [
@@ -125,9 +115,9 @@ class TestModelCheck:
             (3, 2, 2, (31, 260, 6)),
         ],
     )
-    def test_generic_state_encoding(self, n, m, k, counts, search):
+    def test_generic_state_encoding(self, n, m, k, counts):
         # the fixture has plain tuple states, packed by the base-class encoding
-        v = model_check(PrivilegedWriterProtocol(n, m), k, search=search)
+        v = model_check(PrivilegedWriterProtocol(n, m), k)
         assert v.result == NO_VIOLATION
         assert (v.states, v.transitions, v.max_depth) == counts
 
@@ -137,8 +127,8 @@ class TestModelCheck:
             model_check(p, 0)
         with pytest.raises(ParameterError):
             model_check(p, 3)
-        with pytest.raises(ParameterError):
-            model_check(p, 1, search="sideways")
+        with pytest.raises(TypeError):
+            model_check(p, 1, search="dfs")  # breadth-first is the only order
         with pytest.raises(ParameterError):
             model_check(p, 1, max_states=0)
         wrong_v = make_protocol("piranha", 2, 2, 1, v=1)
@@ -158,9 +148,6 @@ class TestModelCheck:
 # (n, m, k) of the differential tests below
 SMALL = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 BOUNDED = [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
-# DFS on piranha-buggy 2x2 Q2 k=2 reaches its goal only after 1,440,304
-# states; every other SMALL configuration ends below 62,000 in either order
-DFS_CAP = 70_000
 
 
 class TestAgainstReference:
@@ -183,26 +170,6 @@ class TestAgainstReference:
         v = model_check(p, k, max_states=5000)
         run = None if v.run is None else v.run.events
         expected = reference_check(p, k, max_states=5000)
-        assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
-
-    # the same configurations in depth-first order, cut at DFS_CAP states
-    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
-    @pytest.mark.parametrize("q", [1, 2])
-    @pytest.mark.parametrize("n, m, k", SMALL)
-    def test_same_dfs_verdict(self, name, n, m, q, k):
-        p = make_protocol(name, n, m, q)
-        v = model_check(p, k, max_states=DFS_CAP, search="dfs")
-        run = None if v.run is None else v.run.events
-        expected = reference_check(p, k, max_states=DFS_CAP, search="dfs")
-        assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
-
-    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
-    @pytest.mark.parametrize("n, m, k", BOUNDED)
-    def test_same_bounded_dfs_verdict(self, name, n, m, k):
-        p = make_protocol(name, n, m, 1)
-        v = model_check(p, k, max_states=5000, search="dfs")
-        run = None if v.run is None else v.run.events
-        expected = reference_check(p, k, max_states=5000, search="dfs")
         assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
 
     # a one-state protocol whose reads may return 1 without a write: the
@@ -261,20 +228,6 @@ SEARCH_CASES = [
     ("ac", {"max_states": 7}, (8, 9, 2, None, None, True, "acbfdehg")),
     ("ac", {"max_states": 8}, (8, 12, 3, None, None, False, "acbfdehg")),
     ("", {}, (0, 0, 0, None, None, False, "")),
-    ("aac", {"dfs": True}, (8, 12, 3, None, None, False, "acfhbdeg")),
-    (
-        "ac",
-        {"dfs": True, "goal": "g"},
-        (8, 9, 2, ("g", 3), ("a", ("ab", "be", "eg")), False, "acfhbdeg"),
-    ),
-    (
-        "a",
-        {"dfs": True, "goal": "h"},
-        (5, 5, 2, ("h", 3), ("a", ("ac", "cf", "fh")), False, "abcfh"),
-    ),
-    ("ac", {"dfs": True, "depth_limit": 1}, (4, 4, 1, None, None, False, "acfb")),
-    ("ac", {"dfs": True, "depth_limit": 2}, (7, 8, 2, None, None, False, "acfhbde")),
-    ("ac", {"dfs": True, "max_states": 4}, (5, 4, 2, None, None, True, "acfhb")),
 ]
 
 

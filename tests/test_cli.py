@@ -122,7 +122,7 @@ class TestCheck:
         assert payload["result"] == "inconclusive"
 
     def test_print_config(self, capsys):
-        code = main(["check", "--k", "2", "--search", "dfs", "--print-config"])
+        code = main(["check", "--k", "2", "--max-states", "7", "--print-config"])
         assert code == EXIT_OK
         cfg = json.loads(capsys.readouterr().out)
         assert cfg == {
@@ -131,12 +131,11 @@ class TestCheck:
             "m": 2,
             "k": 2,
             "queue_bound": 3,
-            "max_states": 50_000_000,
-            "search": "dfs",
+            "max_states": 7,
             "format": "text",
             "output": None,
         }
-        assert cfg == Config(k=2, search="dfs").to_json()
+        assert cfg == Config(k=2, max_states=7).to_json()
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -145,6 +144,20 @@ class TestCheck:
         assert capsys.readouterr().out == ""
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["result"] == "no_violation"
+
+    def test_unwritable_emit_run(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.jsonl"
+        argv = ["check", "--protocol", "piranha-buggy", "--k", "1", "--queue-bound", "1"]
+        assert main(argv + ["--emit-run", str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("scmc: error: cannot write") and "Traceback" not in err
+
+    def test_search_option_removed(self, capsys):
+        # breadth-first is the only search order
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--search", "bfs"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--search" in capsys.readouterr().err
 
     def test_internal_failure_exit(self, monkeypatch, capsys):
         # the fixture's reads conjure values, so the counterexample's shadow
@@ -257,6 +270,23 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.jsonl")]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_non_utf8_input_exits_usage(self, tmp_path, capsys, monkeypatch):
+        data = b'\xff{"n": 1, "m": 1, "v": 1}\n'
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(data)
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        assert "not UTF-8" in capsys.readouterr().err
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["analyze", "-"]) == EXIT_USAGE
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path, "t3.jsonl", TRACE3)
+        target = tmp_path / "missing" / "x.json"
+        assert main(["analyze", path, "--output", str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("scmc: error: cannot write") and "Traceback" not in err
+
 
 class TestOracle:
     def test_witness_found(self, tmp_path, capsys):
@@ -367,5 +397,5 @@ class TestParserContract:
         assert "no violation" in proc.stdout
 
     def test_console_script_usage_error(self):
-        proc = run_module("check", "--search", "sideways")
+        proc = run_module("check", "--queue-bound", "x")
         assert proc.returncode == EXIT_USAGE

@@ -240,6 +240,21 @@ class TestJsonLines:
         with pytest.raises(FormatError):
             loads_run_jsonl(text)
 
+    # json.loads reads true and false as bool, a subclass of int
+    def test_boolean_event_field_rejected(self):
+        text = '{"n": 1, "m": 1, "v": 1}\n{"op": "W", "proc": true, "loc": 1, "data": 1}\n'
+        with pytest.raises(FormatError, match="line 2"):
+            loads_run_jsonl(text)
+
+    def test_boolean_internal_param_rejected(self):
+        text = '{"n": 1, "m": 1, "v": 1}\n{"internal": "UPD", "params": [true]}\n'
+        with pytest.raises(FormatError, match="line 2"):
+            loads_run_jsonl(text)
+
+    def test_boolean_header_rejected(self):
+        with pytest.raises(FormatError, match="header"):
+            loads_run_jsonl('{"n": true, "m": 1, "v": 1}\n')
+
     @given(unambiguous_causal_traces())
     def test_round_trip_property(self, trace):
         run = loads_run_jsonl(dumps_jsonl(trace))
