@@ -27,12 +27,17 @@ def monitor_step(monitors, e):
     return constraints, tuple(check_step(c, e) for c in checks)
 
 
-def reference_check(protocol, k, max_states=None):
-    """(result, states, transitions, max_depth, run events or None)."""
-    start = (
+def initial_monitors(protocol, k):
+    """The constrain automata of every location and the checks 1..k, initial."""
+    return (
         tuple(constrain_initial(j, k) for j in range(1, protocol.m + 1)),
         tuple(check_initial(i, k) for i in range(1, k + 1)),
     )
+
+
+def reference_check(protocol, k, max_states=None):
+    """(result, states, transitions, max_depth, run events or None)."""
+    start = initial_monitors(protocol, k)
     parents = {}
     frontier = deque()
     for s in protocol.initial_states():

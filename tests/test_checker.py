@@ -31,7 +31,8 @@ from scmc.errors import DataIndependenceError
 from scmc.events import READ
 from scmc.protocol import PiranhaProtocol
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
-from reference_checker import reference_check
+from reference_checker import initial_monitors, monitor_step, reference_check
+from scmc.monitors import ERR
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -106,6 +107,7 @@ class TestModelCheck:
         assert (v.states, v.transitions, v.max_depth) == (101, 279, 2)
         assert v.run is None and v.cycle is None
 
+    @pytest.mark.parametrize("order", ["bfs", "dfs"])
     @pytest.mark.parametrize(
         "n, m, k, counts",
         [
@@ -115,11 +117,18 @@ class TestModelCheck:
             (3, 2, 2, (31, 260, 6)),
         ],
     )
-    def test_generic_state_encoding(self, n, m, k, counts):
+    def test_generic_state_encoding(self, n, m, k, counts, order):
         # the fixture has plain tuple states, packed by the base-class encoding
-        v = model_check(PrivilegedWriterProtocol(n, m), k)
+        p = PrivilegedWriterProtocol(n, m)
+        v = model_check(p, k)
         assert v.result == NO_VIOLATION
         assert (v.states, v.transitions, v.max_depth) == counts
+        if order == "dfs":
+            # a depth-first walk of the same product reaches the same states
+            # and edges, each state at no smaller depth
+            result, states, transitions, depth = depth_first_check(p, k)
+            assert (result, states, transitions) == (NO_VIOLATION, v.states, v.transitions)
+            assert depth >= v.max_depth
 
     def test_parameter_validation(self):
         p = make_protocol("piranha", 2, 2, 1)
@@ -148,6 +157,42 @@ class TestModelCheck:
 # (n, m, k) of the differential tests below
 SMALL = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 BOUNDED = [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
+# a depth-first walk of piranha-buggy 2x2 Q2 k=2 reaches its goal only after
+# 1,440,304 states; every other SMALL configuration ends below 62,000
+DFS_CAP = 70_000
+
+
+def depth_first_check(protocol, k, max_states=None):
+    """(result, states, transitions, depth) of a depth-first walk of the product.
+
+    A second exploration order for model_check's breadth-first one, stepping
+    the monitors as reference_check does.  It stops at the first newly
+    reached goal state, whose depth it returns, or as soon as more than
+    max_states states are reached; otherwise depth is the largest depth
+    expanded.  A state's depth is the depth at which it was first reached.
+    """
+    start = initial_monitors(protocol, k)
+    seen = dict.fromkeys((s, start) for s in protocol.initial_states())
+    stack = [(node, 0) for node in seen]
+    transitions = max_depth = 0
+    while stack:
+        (s, monitors), depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        for e, s2 in protocol.successors(s):
+            monitors2 = monitor_step(monitors, e)
+            if monitors2 is None:
+                continue
+            transitions += 1
+            node2 = (s2, monitors2)
+            if node2 in seen:
+                continue
+            seen[node2] = None
+            if all(c.phase == ERR for c in monitors2[1]):
+                return COUNTEREXAMPLE, len(seen), transitions, depth + 1
+            if max_states is not None and len(seen) > max_states:
+                return INCONCLUSIVE, len(seen), transitions, max_depth
+            stack.append((node2, depth + 1))
+    return NO_VIOLATION, len(seen), transitions, max_depth
 
 
 class TestAgainstReference:
@@ -161,6 +206,26 @@ class TestAgainstReference:
         v = model_check(p, k)
         run = None if v.run is None else v.run.events
         assert (v.result, v.states, v.transitions, v.max_depth, run) == reference_check(p, k)
+
+    # no search order changes a verdict: the same configurations against a
+    # depth-first walk of the product, cut at DFS_CAP states.  Where that walk
+    # closes, both reach the same states and edges; breadth-first depths, and
+    # so its counterexamples, are never longer.  Breadth-first decides every
+    # configuration within DFS_CAP, even the one the depth-first walk does not.
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n, m, k", SMALL)
+    def test_same_dfs_verdict(self, name, n, m, q, k):
+        p = make_protocol(name, n, m, q)
+        v = model_check(p, k, max_states=DFS_CAP)
+        result, states, transitions, depth = depth_first_check(p, k, max_states=DFS_CAP)
+        assert v.result == (COUNTEREXAMPLE if result == INCONCLUSIVE else result)
+        if result == NO_VIOLATION:
+            assert (v.states, v.transitions) == (states, transitions)
+        if result != INCONCLUSIVE:
+            assert v.max_depth <= depth
+        if v.result == COUNTEREXAMPLE:
+            assert_valid_counterexample(p, v)
 
     # k = 3 (216 monitor vectors) and locations beyond k, cut at 5000 states
     @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
