@@ -109,13 +109,14 @@ def _exec_step(e, mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return mem
 
 
-def _feasible_with_pins(trace: Trace, pins: dict[int, int]) -> bool:
+def _feasible_with_pins(
+    trace: Trace, progs: tuple[tuple[int, ...], ...], pins: dict[int, int]
+) -> bool:
     """Is there a valid interleaving placing event u at position pins[u]?
 
     DFS over program-order interleavings with memoized dead states; with no
-    pins it decides sequential consistency.
+    pins it decides sequential consistency.  progs is `_programs(trace)`.
     """
-    progs = _programs(trace)
     events = trace.events
     total = len(events)
     pos_to_event = {p: u for u, p in pins.items()}
@@ -151,7 +152,7 @@ def _feasible_with_pins(trace: Trace, pins: dict[int, int]) -> bool:
     return rec((0,) * len(progs), mem0, 0)
 
 
-def _lex_min_witness(trace: Trace) -> tuple[int, ...]:
+def _lex_min_witness(trace: Trace, progs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     # assign each event in index order the least position that stays feasible
     total = len(trace)
     pins: dict[int, int] = {}
@@ -161,7 +162,7 @@ def _lex_min_witness(trace: Trace) -> tuple[int, ...]:
             if p in taken:
                 continue
             pins[u] = p
-            if _feasible_with_pins(trace, pins):
+            if _feasible_with_pins(trace, progs, pins):
                 break
             del pins[u]
         else:
@@ -181,6 +182,8 @@ def check_sc_oracle(
     program-order interleavings with memoization; "permutations" literally
     scans all permutations and is limited to 8 events.
     """
+    if bound < 0:
+        raise ParameterError(f"oracle bound must be >= 0, got {bound}")
     total = len(trace)
     if total > bound:
         raise OracleBoundError(total, bound)
@@ -193,6 +196,7 @@ def check_sc_oracle(
         return None
     if engine != "interleaving":
         raise ParameterError(f"unknown oracle engine {engine!r}")
-    if not _feasible_with_pins(trace, {}):
+    progs = _programs(trace)
+    if not _feasible_with_pins(trace, progs, {}):
         return None
-    return SerialWitness(_lex_min_witness(trace))
+    return SerialWitness(_lex_min_witness(trace, progs))

@@ -448,6 +448,10 @@ def validate_assumptions(
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
+    if run_samples < 0:
+        raise ParameterError(f"run_samples must be >= 0, got {run_samples}")
+    if max_perms < 0:
+        raise ParameterError(f"max_perms must be >= 0, got {max_perms}")
     empty_written = (frozenset(),) * protocol.m
     by_id, ids = _numbering()  # id <-> (packed state, written)
     roots: dict[int, object] = {}

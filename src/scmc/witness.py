@@ -141,6 +141,64 @@ class ConstraintGraph:
             succs.append(chain)
         return tuple(sorted(succs))
 
+    @cached_property
+    def _component(self) -> list[int]:
+        """Each vertex's strongly connected component id, 0 if on no cycle.
+
+        One iterative pass of Tarjan's algorithm over `successors`.  The
+        transitive reduction has the reachability of the full graph, so it
+        has the same components.  The graph has no self-loops, so a vertex
+        is on a cycle iff its component has another member; ids count from
+        1 in the order such components close.
+        """
+        size = len(self)
+        successors = self.successors
+        index = [0] * (size + 1)  # discovery number, 0 before discovery
+        low = [0] * (size + 1)
+        # a vertex whose component has closed gets an index above every
+        # discovery number, so it never lowers a lowlink
+        closed_index = size + 1
+        component = [0] * (size + 1)
+        stack: list[int] = []
+        discovered = closed = 0
+        for root in range(1, size + 1):
+            if index[root]:
+                continue
+            discovered += 1
+            index[root] = low[root] = discovered
+            stack.append(root)
+            path = [root]
+            pending = [iter(successors(root))]
+            while pending:
+                u = path[-1]
+                for v in pending[-1]:
+                    if not index[v]:
+                        discovered += 1
+                        index[v] = low[v] = discovered
+                        stack.append(v)
+                        path.append(v)
+                        pending.append(iter(successors(v)))
+                        break
+                    if index[v] < low[u]:
+                        low[u] = index[v]
+                else:
+                    path.pop()
+                    pending.pop()
+                    if path and low[u] < low[path[-1]]:
+                        low[path[-1]] = low[u]
+                    if low[u] != index[u]:
+                        continue
+                    w = stack.pop()
+                    index[w] = closed_index
+                    if w != u:
+                        closed += 1
+                        component[w] = closed
+                        while w != u:
+                            w = stack.pop()
+                            index[w] = closed_index
+                            component[w] = closed
+        return component
+
     def _loc_successors(self, u: int) -> tuple[int, ...]:
         """Every v with a location edge u -> v, ascending."""
         cache = self._loc_succ_cache
@@ -274,12 +332,21 @@ def find_nice_cycle(
     x < k skips u_1's location and those of v_1..v_{x-1}, and v_k is taken
     only at u_1's location with an edge into u_1.  Only choices that cannot
     close are skipped, so the first cycle found is the least one.
+
+    A nice cycle is a cycle of the graph, so its vertices share one strongly
+    connected component (`ConstraintGraph._component`).  u_1 is taken only
+    from vertices on some cycle, and every later vertex only from u_1's
+    component.  Those are choices that cannot close either, and the rest
+    keep their order, so the first cycle found is still the least one.  The
+    search stays inside one component, and on an acyclic graph it
+    enumerates nothing.
     """
     params = graph.trace.params
     if not 1 <= k <= min(params.n, params.m):
         raise ParameterError(f"k {k} outside 1..{min(params.n, params.m)}")
     events = graph.trace.events
     level = graph.level
+    component = graph._component
     verts: list[int] = []
     procs: list[int] = []
     locs: list[int] = []  # locs[x-1] is the location of v_x
@@ -290,13 +357,16 @@ def find_nice_cycle(
             if proc in procs or (canonical_only and proc != x):
                 continue
             first = verts[0] if verts else u
+            comp = component[first]
+            if component[u] != comp:
+                continue
             home = events[first - 1].loc
             if canonical_only and home != 1:
                 continue
             if x == k:
                 column = graph._proc_loc_members.get((proc, home), ())
                 for v in column[bisect_right(column, u) :]:
-                    if level[v] < level[first]:
+                    if level[v] < level[first] and component[v] == comp:
                         all_procs, all_locs = (*procs, proc), (*locs, home)
                         return NiceCycle(
                             (*verts, u, v),
@@ -311,6 +381,8 @@ def find_nice_cycle(
                 loc = events[v - 1].loc
                 if loc == home or loc in locs or (canonical_only and loc != x + 1):
                     continue
+                if component[v] != comp:
+                    continue
                 verts.append(v)
                 locs.append(loc)
                 found = extend(x + 1, graph._loc_successors(v))
@@ -322,7 +394,7 @@ def find_nice_cycle(
             procs.pop()
         return None
 
-    return extend(1, range(1, len(graph) + 1))
+    return extend(1, [u for u in range(1, len(graph) + 1) if component[u]])
 
 
 def find_minimal_nice_cycle(graph: ConstraintGraph) -> Optional[NiceCycle]:

@@ -80,6 +80,29 @@ def walk_trace(
     return replay_unambiguous(protocol, run, root)
 
 
+def store_buffer_tail(rng: random.Random, trace: Trace) -> Trace:
+    """trace followed by a store-buffer pattern, which closes a 2-nice cycle.
+
+    Processor p writes location a, then reads the latest value of b (0 if
+    none); q writes b, then reads the latest value of a.  Both reads miss
+    the new writes.
+    """
+    params = trace.params
+    # write values count up from 1 per location in replayed traces
+    latest = {e.loc: e.data for e in trace.events if e.op == WRITE}
+    a, b = rng.sample(range(1, params.m + 1), 2)
+    p, q = rng.sample(range(1, params.n + 1), 2)
+    fresh_a, fresh_b = latest.get(a, 0) + 1, latest.get(b, 0) + 1
+    tail = (
+        MemoryEvent(WRITE, p, a, fresh_a),
+        MemoryEvent(READ, p, b, latest.get(b, 0)),
+        MemoryEvent(WRITE, q, b, fresh_b),
+        MemoryEvent(READ, q, a, latest.get(a, 0)),
+    )
+    v = max(params.v, fresh_a, fresh_b)
+    return Trace(trace.events + tail, Params(params.n, params.m, v))
+
+
 @lru_cache(maxsize=1)
 def build_corpus() -> tuple[tuple[Trace, ...], tuple[Trace, ...]]:
     """(synthetic traces, protocol-walk traces), deterministic across runs."""

@@ -56,6 +56,23 @@ class NaiveGraph:
                 return bool(left)
             left -= sources
 
+    def reachable(self):
+        """Pairs (u, v) joined by a path of one or more edges, by closing
+        the edge set transitively through each vertex in turn."""
+        size = len(self.trace)
+        vertices = range(1, size + 1)
+        reach = {
+            (u, v)
+            for u in vertices
+            for v in vertices
+            if self.proc_edge_label(u, v) is not None or self.loc_edge_label(u, v) is not None
+        }
+        for w in vertices:
+            into = [u for u in vertices if (u, w) in reach]
+            out = [v for v in vertices if (w, v) in reach]
+            reach.update((u, v) for u in into for v in out)
+        return reach
+
     def find_nice_cycle(self, k, canonical_only=False):
         """The least vertex tuple u1, v1, ..., uk, vk forming a k-nice cycle."""
         size = len(self.trace)

@@ -136,6 +136,10 @@ class TestOracle:
             check_sc_oracle(t)
         assert check_sc_oracle(t, bound=11) is not None
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ParameterError):
+            check_sc_oracle(Trace((), Params(1, 1, 1)), bound=-1)
+
     def test_permutation_engine_bound(self):
         t = Trace((R(1, 1, 0),) * 9, Params(1, 1, 1))
         with pytest.raises(OracleBoundError):

@@ -531,3 +531,9 @@ class TestValidateAssumptions:
     def test_negative_depth(self):
         with pytest.raises(ParameterError):
             validate_assumptions(PrivilegedWriterProtocol(), depth=-1)
+
+    def test_negative_sampling_limits(self):
+        with pytest.raises(ParameterError, match="run_samples"):
+            validate_assumptions(PrivilegedWriterProtocol(), depth=1, run_samples=-3)
+        with pytest.raises(ParameterError, match="max_perms"):
+            validate_assumptions(PrivilegedWriterProtocol(), depth=1, max_perms=-2)

@@ -318,6 +318,13 @@ class TestOracle:
         code, payload = run_json(capsys, ["oracle", path, "--bound", "11"])
         assert code == EXIT_OK
 
+    def test_negative_bound_is_usage_error(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path, "empty.jsonl", Trace((), Params(1, 1, 1)))
+        assert main(["oracle", path, "--bound", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle bound must be >= 0" in captured.err
+
     def test_bad_engine(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "x.jsonl", "--engine", "magic"])
@@ -373,6 +380,13 @@ class TestValidateAssumptions:
         assert payload["causality_violations"] == []
         assert payload["symmetry_violations"] == []
         assert payload["nodes"] > 0 and payload["symmetry_checks"] > 0
+
+    @pytest.mark.parametrize("flag", ["--samples", "--max-perms"])
+    def test_negative_sampling_flag_is_usage_error(self, flag, capsys):
+        assert main(["validate-assumptions", "--depth", "1", flag, "-2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
 
 
 class TestParserContract:

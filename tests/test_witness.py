@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from scmc import (
 from scmc.errors import ParameterError
 from scmc.events import loc_indices, proc_indices
 from scmc.witness import ConstraintGraph
+from corpus import store_buffer_tail
 from reference_witness import NaiveGraph, is_cycle_of
 from strategies import analyzable_traces, permutations_of, unambiguous_causal_traces
 
@@ -179,6 +182,26 @@ class TestLinearWork:
         assert sorted(fetched) == list(range(1, len(long_walk) + 1))
         assert sum(len(s) for s in fetched.values()) <= 3 * len(long_walk)
 
+    def test_nice_cycle_search_stays_in_the_cycle(self, long_walk, monkeypatch):
+        size = len(long_walk)
+        expanded = []
+        original = ConstraintGraph._later_on_proc
+
+        def later_on_proc(graph, u):
+            # fail at once: a search outside the tail takes super-linear time
+            assert u > size, f"expanded {u}, outside the store-buffer tail"
+            expanded.append(u)
+            return original(graph, u)
+
+        monkeypatch.setattr(ConstraintGraph, "_later_on_proc", later_on_proc)
+        for k in range(1, 4):
+            assert find_nice_cycle(build_constraint_graph(long_walk), k) is None
+        trace = store_buffer_tail(random.Random(1), long_walk)
+        nice = find_minimal_nice_cycle(build_constraint_graph(trace))
+        assert nice is not None and nice.k == 2
+        assert nice.vertices == (size + 1, size + 2, size + 3, size + 4)
+        assert expanded
+
 
 class TestAgainstReference:
     """Every result must equal the naive reference's (tests/reference_witness.py)."""
@@ -208,6 +231,19 @@ class TestAgainstReference:
                 )
         assert find_minimal_nice_cycle(g) == ref.find_minimal_nice_cycle()
         assert (find_cycle(g) is not None) == ref.has_cycle()
+
+    @settings(max_examples=300)
+    @given(analyzable_traces())
+    def test_components(self, trace):
+        component = build_constraint_graph(trace)._component
+        reach = NaiveGraph(trace).reachable()
+        vertices = range(1, len(trace) + 1)
+        for u in vertices:
+            assert (component[u] != 0) == ((u, u) in reach)
+            for v in vertices:
+                if u != v:
+                    shared = component[u] != 0 and component[u] == component[v]
+                    assert shared == ((u, v) in reach and (v, u) in reach)
 
 
 class TestNiceCycle:
