@@ -8,14 +8,12 @@ against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from .errors import OracleBoundError, ParameterError, SoundnessError
 from .events import READ, WRITE, Trace, proc_indices
 
 ORACLE_BOUND_DEFAULT = 10
-PERMUTATION_ENGINE_BOUND = 8
 
 
 def is_unambiguous(trace: Trace) -> bool:
@@ -171,31 +169,19 @@ def _lex_min_witness(trace: Trace, progs: tuple[tuple[int, ...], ...]) -> tuple[
 
 
 def check_sc_oracle(
-    trace: Trace,
-    bound: int = ORACLE_BOUND_DEFAULT,
-    engine: str = "interleaving",
+    trace: Trace, bound: int = ORACLE_BOUND_DEFAULT
 ) -> Optional[SerialWitness]:
     """Return a serial witness if the trace is sequentially consistent.
 
     The witness is the lexicographically least valid one, comparing the
-    sequences (f(1), f(2), ...).  Engine "interleaving" searches
-    program-order interleavings with memoization; "permutations" literally
-    scans all permutations and is limited to 8 events.
+    sequences (f(1), f(2), ...), found by searching program-order
+    interleavings with memoization.
     """
     if bound < 0:
         raise ParameterError(f"oracle bound must be >= 0, got {bound}")
     total = len(trace)
     if total > bound:
         raise OracleBoundError(total, bound)
-    if engine == "permutations":
-        if total > PERMUTATION_ENGINE_BOUND:
-            raise OracleBoundError(total, PERMUTATION_ENGINE_BOUND)
-        for f in permutations(range(1, total + 1)):
-            if respects_program_order(trace, f) and is_serial(SerialWitness(f).apply(trace)):
-                return SerialWitness(f)
-        return None
-    if engine != "interleaving":
-        raise ParameterError(f"unknown oracle engine {engine!r}")
     progs = _programs(trace)
     if not _feasible_with_pins(trace, progs, {}):
         return None

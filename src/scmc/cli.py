@@ -271,20 +271,19 @@ def cmd_analyze(path: str, fmt: str, output: Optional[str]) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_oracle(path: str, bound: int, engine: str, fmt: str, output: Optional[str]) -> int:
+def cmd_oracle(path: str, bound: int, fmt: str, output: Optional[str]) -> int:
     run = _load_run(path)
     trace = project_trace(run)
     payload: dict = {
         "events": len(trace),
         "bound": bound,
-        "engine": engine,
         "sc": None,
         "witness": None,
         "verdict": None,
     }
     lines = [f"trace: {len(trace)} memory events"]
     try:
-        witness = check_sc_oracle(trace, bound=bound, engine=engine)
+        witness = check_sc_oracle(trace, bound=bound)
     except OracleBoundError as exc:
         payload["verdict"] = str(exc)
         lines.append(f"undecided: {exc}")
@@ -385,6 +384,9 @@ def cmd_validate_assumptions(
     fmt: str,
     output: Optional[str],
 ) -> int:
+    for flag, value in (("--samples", samples), ("--max-perms", max_perms)):
+        if value < 0:
+            raise ParameterError(f"{flag} must be >= 0, got {value}")
     protocol = make_protocol(protocol_name, n, m, queue_bound)
     report = validate_assumptions(
         protocol, depth=depth, run_samples=samples, max_perms=max_perms
@@ -440,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide sequential consistency of a short trace exhaustively")
     p.add_argument("trace", help="JSON-lines trace/run file, or - for stdin")
     p.add_argument("--bound", type=int, default=ORACLE_BOUND_DEFAULT)
-    p.add_argument("--engine", choices=("interleaving", "permutations"),
-                   default="interleaving")
 
     p = sub.add_parser("replay", parents=[common],
                        help="replay a recorded run on a protocol")
@@ -496,7 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.trace, args.format, args.output)
         if args.command == "oracle":
-            return cmd_oracle(args.trace, args.bound, args.engine, args.format, args.output)
+            return cmd_oracle(args.trace, args.bound, args.format, args.output)
         if args.command == "replay":
             return cmd_replay(
                 args.run,

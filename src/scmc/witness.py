@@ -142,14 +142,24 @@ class ConstraintGraph:
         return tuple(sorted(succs))
 
     @cached_property
-    def _component(self) -> list[int]:
-        """Each vertex's strongly connected component id, 0 if on no cycle.
+    def _components(self) -> tuple[list[int], Optional[tuple[int, ...]]]:
+        """Each vertex's strongly connected component id, and the first cycle.
 
-        One iterative pass of Tarjan's algorithm over `successors`.  The
-        transitive reduction has the reachability of the full graph, so it
-        has the same components.  The graph has no self-loops, so a vertex
-        is on a cycle iff its component has another member; ids count from
-        1 in the order such components close.
+        The only traversal of the graph: one iterative pass of Tarjan's
+        algorithm over `successors`, which fetches each vertex's successors
+        once.  The transitive reduction has the reachability of the full
+        graph, so it has the same components.  The graph has no self-loops,
+        so a vertex is on a cycle iff its component has another member; its
+        id is then its component's, counting from 1 in the order components
+        close, and 0 otherwise.
+
+        The first cycle is closed by the first edge u -> v met with v still
+        on Tarjan's stack, or is None if there is no such edge.  Until that
+        edge no lowlink has fallen, so every finished vertex has closed a
+        singleton component and the stack is the depth-first path.  The edge
+        is then a back edge, index[v] < index[u] = low[u], and the cycle is
+        the path from v to u: the cycle a plain depth-first search, taking
+        roots and successors in the same ascending order, meets first.
         """
         size = len(self)
         successors = self.successors
@@ -159,6 +169,7 @@ class ConstraintGraph:
         # discovery number, so it never lowers a lowlink
         closed_index = size + 1
         component = [0] * (size + 1)
+        cycle: Optional[tuple[int, ...]] = None
         stack: list[int] = []
         discovered = closed = 0
         for root in range(1, size + 1):
@@ -180,7 +191,10 @@ class ConstraintGraph:
                         pending.append(iter(successors(v)))
                         break
                     if index[v] < low[u]:
+                        # only a v still on the stack lowers a lowlink
                         low[u] = index[v]
+                        if cycle is None:
+                            cycle = tuple(path[path.index(v) :])
                 else:
                     path.pop()
                     pending.pop()
@@ -197,7 +211,7 @@ class ConstraintGraph:
                             w = stack.pop()
                             index[w] = closed_index
                             component[w] = closed
-        return component
+        return component, cycle
 
     def _loc_successors(self, u: int) -> tuple[int, ...]:
         """Every v with a location edge u -> v, ascending."""
@@ -234,35 +248,16 @@ def build_constraint_graph(trace: Trace) -> ConstraintGraph:
 def find_cycle(graph: ConstraintGraph) -> Optional[tuple[int, ...]]:
     """Some cycle as a vertex tuple (v1, ..., vl) with vl -> v1, or None.
 
-    Iterative DFS over the transitive reduction (`ConstraintGraph.successors`):
-    it has a cycle iff the full graph has one, and each step of a cycle in
-    it is an edge of the full graph.  Every vertex's successors are fetched
-    once, so the search is linear in the trace length.  Roots and successors
-    are taken in ascending order, so the result is deterministic, but it is
-    just some cycle, not a least or shortest one.
+    The first cycle that the depth-first component pass closes
+    (`ConstraintGraph._components`), which walks the transitive reduction
+    (`ConstraintGraph.successors`): it has a cycle iff the full graph has
+    one, and each step of a cycle in it is an edge of the full graph.  The
+    pass is linear in the trace length and runs once per graph, for this
+    and the nice-cycle search together.  Roots and successors are taken in
+    ascending order, so the result is deterministic, but it is just some
+    cycle, not a least or shortest one.
     """
-    size = len(graph)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * (size + 1)
-    for root in range(1, size + 1):
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        path = [root]
-        stack = [iter(graph.successors(root))]
-        while stack:
-            for v in stack[-1]:
-                if color[v] == GREY:
-                    return tuple(path[path.index(v) :])
-                if color[v] == WHITE:
-                    color[v] = GREY
-                    path.append(v)
-                    stack.append(iter(graph.successors(v)))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                stack.pop()
-    return None
+    return graph._components[1]
 
 
 @dataclass(frozen=True)
@@ -334,7 +329,7 @@ def find_nice_cycle(
     close are skipped, so the first cycle found is the least one.
 
     A nice cycle is a cycle of the graph, so its vertices share one strongly
-    connected component (`ConstraintGraph._component`).  u_1 is taken only
+    connected component (`ConstraintGraph._components`).  u_1 is taken only
     from vertices on some cycle, and every later vertex only from u_1's
     component.  Those are choices that cannot close either, and the rest
     keep their order, so the first cycle found is still the least one.  The
@@ -346,7 +341,7 @@ def find_nice_cycle(
         raise ParameterError(f"k {k} outside 1..{min(params.n, params.m)}")
     events = graph.trace.events
     level = graph.level
-    component = graph._component
+    component = graph._components[0]
     verts: list[int] = []
     procs: list[int] = []
     locs: list[int] = []  # locs[x-1] is the location of v_x

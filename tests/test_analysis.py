@@ -19,6 +19,7 @@ from scmc import (
 from scmc.errors import ParameterError
 from scmc.events import write_indices
 from corpus import all_traces
+from reference_oracle import PERMUTATION_BOUND, permutation_oracle
 from strategies import analyzable_traces, arbitrary_traces, unambiguous_causal_traces
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
@@ -119,12 +120,12 @@ class TestOracle:
         assert w is not None and w.f == (2, 1, 3)
 
     def test_example_witness_permutation_engine(self):
-        w = check_sc_oracle(EXAMPLE, engine="permutations")
+        w = permutation_oracle(EXAMPLE)
         assert w is not None and w.f == (2, 1, 3)
 
     def test_violation_is_refused(self):
         assert check_sc_oracle(VIOLATION) is None
-        assert check_sc_oracle(VIOLATION, engine="permutations") is None
+        assert permutation_oracle(VIOLATION) is None
 
     def test_empty_trace_identity(self):
         w = check_sc_oracle(Trace((), Params(1, 1, 1)))
@@ -141,13 +142,9 @@ class TestOracle:
             check_sc_oracle(Trace((), Params(1, 1, 1)), bound=-1)
 
     def test_permutation_engine_bound(self):
-        t = Trace((R(1, 1, 0),) * 9, Params(1, 1, 1))
+        t = Trace((R(1, 1, 0),) * (PERMUTATION_BOUND + 1), Params(1, 1, 1))
         with pytest.raises(OracleBoundError):
-            check_sc_oracle(t, engine="permutations")
-
-    def test_unknown_engine(self):
-        with pytest.raises(ParameterError):
-            check_sc_oracle(EXAMPLE, engine="magic")
+            permutation_oracle(t)
 
     @given(unambiguous_causal_traces(max_len=6))
     def test_witness_certifies(self, trace):
@@ -159,7 +156,7 @@ class TestOracle:
     @given(unambiguous_causal_traces(max_len=5))
     def test_engines_agree_including_witness(self, trace):
         a = check_sc_oracle(trace)
-        b = check_sc_oracle(trace, engine="permutations")
+        b = permutation_oracle(trace)
         if a is None:
             assert b is None
         else:
@@ -168,7 +165,7 @@ class TestOracle:
     @given(arbitrary_traces(max_len=5))
     def test_engines_agree_on_arbitrary_traces(self, trace):
         a = check_sc_oracle(trace)
-        b = check_sc_oracle(trace, engine="permutations")
+        b = permutation_oracle(trace)
         assert (a is None) == (b is None)
 
     @given(arbitrary_traces(max_len=6))

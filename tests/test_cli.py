@@ -31,6 +31,7 @@ from scmc.cli import (
     main,
 )
 from fixtures import HallucinatingReadProtocol
+from reference_oracle import permutation_oracle
 from reference_witness import is_cycle_of
 
 W = lambda i, j, d: MemoryEvent(WRITE, i, j, d)
@@ -304,10 +305,13 @@ class TestOracle:
         assert payload["witness"] is None
 
     def test_engines_agree(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path, "t3.jsonl", TRACE3)
-        code, payload = run_json(capsys, ["oracle", path, "--engine", "permutations"])
-        assert code == EXIT_OK
-        assert payload["witness"] == [2, 1, 3]
+        # the reference scans every permutation (tests/reference_oracle.py)
+        for name, trace in (("t3.jsonl", TRACE3), ("v4.jsonl", VIOLATION4)):
+            path = write_jsonl(tmp_path, name, trace)
+            code, payload = run_json(capsys, ["oracle", path])
+            reference = permutation_oracle(trace)
+            assert code == (EXIT_OK if reference else EXIT_VIOLATION)
+            assert payload["witness"] == (list(reference.f) if reference else None)
 
     def test_bound_undecided(self, tmp_path, capsys):
         trace = Trace(tuple(R(1, 1, 0) for _ in range(11)), Params(1, 1, 1))
@@ -325,11 +329,12 @@ class TestOracle:
         assert captured.out == ""
         assert "oracle bound must be >= 0" in captured.err
 
-    def test_bad_engine(self, capsys):
+    def test_engine_option_removed(self, capsys):
+        # the interleaving search is the only oracle engine
         with pytest.raises(SystemExit) as exc:
-            main(["oracle", "x.jsonl", "--engine", "magic"])
+            main(["oracle", "x.jsonl", "--engine", "permutations"])
         assert exc.value.code == EXIT_USAGE
-        capsys.readouterr()
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -387,6 +392,12 @@ class TestValidateAssumptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--samples", "--max-perms"])
+    def test_range_error_names_the_flag(self, flag, capsys):
+        # the message names the flag, not the library parameter
+        assert main(["validate-assumptions", "--depth", "1", flag, "-3"]) == EXIT_USAGE
+        assert f"{flag} must be >= 0, got -3" in capsys.readouterr().err
 
 
 class TestParserContract:

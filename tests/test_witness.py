@@ -181,6 +181,13 @@ class TestLinearWork:
         assert find_cycle(build_constraint_graph(long_walk)) is None
         assert sorted(fetched) == list(range(1, len(long_walk) + 1))
         assert sum(len(s) for s in fetched.values()) <= 3 * len(long_walk)
+        # the analyze path on a cyclic graph: cycle, then nice-cycle search
+        fetched.clear()
+        trace = store_buffer_tail(random.Random(1), long_walk)
+        graph = build_constraint_graph(trace)
+        assert find_cycle(graph) is not None
+        assert find_minimal_nice_cycle(graph) is not None
+        assert sorted(fetched) == list(range(1, len(trace) + 1))
 
     def test_nice_cycle_search_stays_in_the_cycle(self, long_walk, monkeypatch):
         size = len(long_walk)
@@ -235,7 +242,7 @@ class TestAgainstReference:
     @settings(max_examples=300)
     @given(analyzable_traces())
     def test_components(self, trace):
-        component = build_constraint_graph(trace)._component
+        component, _ = build_constraint_graph(trace)._components
         reach = NaiveGraph(trace).reachable()
         vertices = range(1, len(trace) + 1)
         for u in vertices:
