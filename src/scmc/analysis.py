@@ -1,9 +1,14 @@
-"""Trace-level semantic checks and a brute-force sequential-consistency oracle.
+"""Trace-level semantic checks and an exact sequential-consistency oracle.
 
 The oracle decides whether a trace has a serial reordering that preserves
-each processor's program order.  It is deliberately independent of the
-graph-based machinery in scmc.witness so the two routes can be checked
-against each other.
+each processor's program order.  It searches the interleavings of the
+processors' programs depth first, over states (cursor vector, memory),
+and remembers the states from which no serial completion exists; the
+problem is NP-complete in general (Gibbons and Korach, "Testing shared
+memories", SIAM J. Comput. 1997), so check_sc_oracle refuses traces
+longer than its bound.  It is deliberately independent of the graph-based
+machinery in scmc.witness so the two routes can be checked against each
+other.
 """
 from __future__ import annotations
 
@@ -92,8 +97,10 @@ def respects_program_order(trace: Trace, f: tuple[int, ...]) -> bool:
 
 def _programs(trace: Trace) -> tuple[tuple[int, ...], ...]:
     # per-processor lists of original indices, skipping idle processors
-    progs = [proc_indices(trace, i) for i in range(1, trace.params.n + 1)]
-    return tuple(p for p in progs if p)
+    progs: dict[int, list[int]] = {}
+    for u, e in enumerate(trace.events, 1):
+        progs.setdefault(e.proc, []).append(u)
+    return tuple(map(tuple, progs.values()))
 
 
 def _exec_step(e, mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -109,63 +116,109 @@ def _exec_step(e, mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 
 def _feasible_with_pins(
     trace: Trace, progs: tuple[tuple[int, ...], ...], pins: dict[int, int]
-) -> bool:
-    """Is there a valid interleaving placing event u at position pins[u]?
+) -> Optional[list[int]]:
+    """A valid interleaving placing each event u at position pins[u].
 
-    DFS over program-order interleavings with memoized dead states; with no
-    pins it decides sequential consistency.  progs is `_programs(trace)`.
+    Returns the event indices in serial order, or None if there is none.
+    Depth-first search over states (cursor vector, memory): the cursors
+    say how much of each program in `progs` (`_programs(trace)`) has run,
+    and the enabled events are tried in ascending trace index, so an
+    unpinned search of a serial trace walks straight down the trace.  A
+    state with no completion is remembered as dead.  The search keeps its
+    own stack, so trace length is not capped by the recursion limit.  With
+    no pins it decides sequential consistency.
     """
     events = trace.events
     total = len(events)
     pos_to_event = {p: u for u, p in pins.items()}
-    pinned = set(pins)
-    mem0 = (0,) * trace.params.m
     dead: set = set()
-
-    def rec(cursors: tuple[int, ...], mem: tuple[int, ...], done: int) -> bool:
-        if done == total:
-            return True
-        key = (cursors, mem)
+    slots = range(len(progs))
+    cursors = [0] * len(progs)
+    mem = (0,) * trace.params.m
+    path: list[int] = []
+    # one frame per state on the path: its key and memory, the moves not
+    # yet tried from it, and the program whose cursor moved to enter it
+    stack: list = []
+    entered = -1
+    while len(path) < total:
+        key = (tuple(cursors), mem)
+        want = pos_to_event.get(len(path) + 1)
         if key in dead:
-            return False
-        want = pos_to_event.get(done + 1)
-        for pi, idxs in enumerate(progs):
-            c = cursors[pi]
-            if c == len(idxs):
+            moves: list = []
+        elif want is None:
+            moves = sorted([(idxs[c], i) for i, idxs, c in zip(slots, progs, cursors)
+                            if c < len(idxs) and idxs[c] not in pins])
+        else:
+            moves = [(want, i) for i, idxs, c in zip(slots, progs, cursors)
+                     if c < len(idxs) and idxs[c] == want]
+        stack.append((key, mem, iter(moves), entered))
+        while True:
+            key, mem, untried, entered = stack[-1]
+            for u, i in untried:
+                mem2 = _exec_step(events[u - 1], mem)
+                if mem2 is not None:
+                    break
+            else:
+                dead.add(key)
+                stack.pop()
+                if not stack:
+                    return None
+                cursors[entered] -= 1
+                path.pop()
                 continue
-            u = idxs[c]
-            if want is not None:
-                if u != want:
-                    continue
-            elif u in pinned:
-                continue
-            mem2 = _exec_step(events[u - 1], mem)
-            if mem2 is None:
-                continue
-            if rec(cursors[:pi] + (c + 1,) + cursors[pi + 1 :], mem2, done + 1):
-                return True
-        dead.add(key)
-        return False
-
-    return rec((0,) * len(progs), mem0, 0)
+            break
+        path.append(u)
+        cursors[i] += 1
+        mem = mem2
+        entered = i
+    return path
 
 
-def _lex_min_witness(trace: Trace, progs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # assign each event in index order the least position that stays feasible
+def _lex_min_witness(
+    trace: Trace, progs: tuple[tuple[int, ...], ...], order: list[int]
+) -> tuple[int, ...]:
+    """The least f, taken event by event, given one serialization `order`.
+
+    Each event u in index order gets the least position p that some valid
+    interleaving still allows, with every earlier event held at its chosen
+    position.  `order` is kept as an interleaving that meets every
+    position chosen so far, so it is a witness that u's own position in
+    it, pos[u], is feasible: that p is accepted without a search.  Only a
+    smaller p needs one, and a search that succeeds becomes the kept
+    interleaving.  Positions up to that of u's program-order predecessor
+    are skipped, since no interleaving allows them.  The result is the
+    same f as searching every candidate p.
+    """
     total = len(trace)
+    pred = [0] * (total + 1)
+    for idxs in progs:
+        for a, b in zip(idxs, idxs[1:]):
+            pred[b] = a
+    pos = _positions(order)
     pins: dict[int, int] = {}
+    taken: set[int] = set()
     for u in range(1, total + 1):
-        taken = set(pins.values())
-        for p in range(1, total + 1):
+        for p in range(pins[pred[u]] + 1 if pred[u] else 1, pos[u]):
             if p in taken:
                 continue
             pins[u] = p
-            if _feasible_with_pins(trace, progs, pins):
+            found = _feasible_with_pins(trace, progs, pins)
+            if found is not None:
+                pos = _positions(found)
                 break
-            del pins[u]
-        else:
-            raise SoundnessError(f"no feasible position for event {u}")
+        if pos[u] in taken:
+            raise SoundnessError(f"the kept serialization moved an event pinned before {u}")
+        pins[u] = pos[u]
+        taken.add(pos[u])
     return tuple(pins[u] for u in range(1, total + 1))
+
+
+def _positions(order: list[int]) -> list[int]:
+    # pos[u] is the 1-based position of event u in order; pos[0] is unused
+    pos = [0] * (len(order) + 1)
+    for p, u in enumerate(order, 1):
+        pos[u] = p
+    return pos
 
 
 def check_sc_oracle(
@@ -174,8 +227,13 @@ def check_sc_oracle(
     """Return a serial witness if the trace is sequentially consistent.
 
     The witness is the lexicographically least valid one, comparing the
-    sequences (f(1), f(2), ...), found by searching program-order
-    interleavings with memoization.
+    sequences (f(1), f(2), ...).  One search over program-order
+    interleavings decides SC and yields a serialization; `_lex_min_witness`
+    then fixes f(1), f(2), ... in turn and searches again only for a
+    position smaller than the one the kept serialization already gives.
+    That is exact: the kept serialization meets every position fixed so
+    far, so it proves its own position feasible, and each smaller one is
+    decided by a search of its own.
     """
     if bound < 0:
         raise ParameterError(f"oracle bound must be >= 0, got {bound}")
@@ -183,6 +241,7 @@ def check_sc_oracle(
     if total > bound:
         raise OracleBoundError(total, bound)
     progs = _programs(trace)
-    if not _feasible_with_pins(trace, progs, {}):
+    order = _feasible_with_pins(trace, progs, {})
+    if order is None:
         return None
-    return SerialWitness(_lex_min_witness(trace, progs))
+    return SerialWitness(_lex_min_witness(trace, progs, order))

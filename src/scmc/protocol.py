@@ -63,7 +63,12 @@ class PiranhaState(NamedTuple):
     inq: tuple[tuple[Msg, ...], ...]
 
 
-def _flatten(obj, out: bytearray) -> None:
+# tuples nest at most this deep in a state key; no system comes close, and
+# the limit keeps encoding and decoding within the interpreter's stack
+_MAX_NESTING = 64
+
+
+def _flatten(obj, out: bytearray, depth: int = 0) -> None:
     if obj is None:
         out.append(251)
     elif isinstance(obj, int):
@@ -73,15 +78,17 @@ def _flatten(obj, out: bytearray) -> None:
             out.append(252)
             out.extend(obj.to_bytes(8, "little", signed=True))
     elif isinstance(obj, tuple):
+        if depth == _MAX_NESTING:
+            raise ParameterError(f"cannot encode tuples nested deeper than {_MAX_NESTING}")
         out.append(253)
         _flatten(len(obj), out)
         for item in obj:
-            _flatten(item, out)
+            _flatten(item, out, depth + 1)
     else:
         raise ParameterError(f"cannot encode {obj!r}")
 
 
-def _unflatten(key: bytes, pos: int):
+def _unflatten(key: bytes, pos: int, depth: int = 0):
     """The object _flatten wrote at key[pos], and the position after it."""
     tag = key[pos]
     if tag < 240:
@@ -90,12 +97,12 @@ def _unflatten(key: bytes, pos: int):
         return None, pos + 1
     if tag == 252 and pos + 9 <= len(key):
         return int.from_bytes(key[pos + 1 : pos + 9], "little", signed=True), pos + 9
-    if tag == 253:
-        length, pos = _unflatten(key, pos + 1)
+    if tag == 253 and depth < _MAX_NESTING:
+        length, pos = _unflatten(key, pos + 1, depth + 1)
         if isinstance(length, int) and length >= 0:
             items = []
             for _ in range(length):
-                item, pos = _unflatten(key, pos)
+                item, pos = _unflatten(key, pos, depth + 1)
                 items.append(item)
             return tuple(items), pos
     raise ParameterError("malformed state key")

@@ -122,3 +122,11 @@ def build_corpus() -> tuple[tuple[Trace, ...], tuple[Trace, ...]]:
 def all_traces() -> tuple[Trace, ...]:
     synthetic, walks = build_corpus()
     return synthetic + walks
+
+
+def serial_trace(pairs: int) -> Trace:
+    """One processor writing 1, 2, ... to location 1, reading each back."""
+    events = []
+    for d in range(1, pairs + 1):
+        events += (MemoryEvent(WRITE, 1, 1, d), MemoryEvent(READ, 1, 1, d))
+    return Trace(tuple(events), Params(1, 1, pairs))

@@ -16,9 +16,10 @@ from scmc import (
     rename_data,
     respects_program_order,
 )
+from scmc import analysis
 from scmc.errors import ParameterError
 from scmc.events import write_indices
-from corpus import all_traces
+from corpus import all_traces, serial_trace
 from reference_oracle import PERMUTATION_BOUND, permutation_oracle
 from strategies import analyzable_traces, arbitrary_traces, unambiguous_causal_traces
 
@@ -153,7 +154,7 @@ class TestOracle:
             assert respects_program_order(trace, w.f)
             assert is_serial(w.apply(trace))
 
-    @given(unambiguous_causal_traces(max_len=5))
+    @given(unambiguous_causal_traces(max_len=6))
     def test_engines_agree_including_witness(self, trace):
         a = check_sc_oracle(trace)
         b = permutation_oracle(trace)
@@ -162,11 +163,45 @@ class TestOracle:
         else:
             assert b is not None and a.f == b.f
 
-    @given(arbitrary_traces(max_len=5))
+    @given(arbitrary_traces(max_len=6))
     def test_engines_agree_on_arbitrary_traces(self, trace):
         a = check_sc_oracle(trace)
         b = permutation_oracle(trace)
-        assert (a is None) == (b is None)
+        if a is None:
+            assert b is None
+        else:
+            assert b is not None and a.f == b.f
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = [0]
+        search = analysis._feasible_with_pins
+
+        def counted(*args):
+            calls[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(analysis, "_feasible_with_pins", counted)
+        return calls
+
+    def test_serial_trace_takes_one_search(self, monkeypatch):
+        # longer than the interpreter's default recursion limit
+        trace = serial_trace(600)
+        calls = self.count_searches(monkeypatch)
+        w = check_sc_oracle(trace, bound=2000)
+        assert w is not None and w.f == tuple(range(1, 1201))
+        assert calls[0] == 1
+
+    def test_searches_on_corpus(self, monkeypatch):
+        # the kept serialization settles most positions without a search;
+        # searching every candidate position took 56,623 searches here
+        calls = self.count_searches(monkeypatch)
+        for trace in all_traces():
+            w = check_sc_oracle(trace)
+            if w is not None:
+                assert respects_program_order(trace, w.f)
+                assert is_serial(w.apply(trace))
+        assert calls[0] <= 15_000
 
     @given(arbitrary_traces(max_len=6))
     def test_serial_implies_sc(self, trace):

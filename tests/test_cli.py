@@ -30,6 +30,7 @@ from scmc.cli import (
     format_event,
     main,
 )
+from corpus import serial_trace
 from fixtures import HallucinatingReadProtocol
 from reference_oracle import permutation_oracle
 from reference_witness import is_cycle_of
@@ -328,6 +329,14 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "oracle bound must be >= 0" in captured.err
+
+    def test_long_trace_within_bound(self, tmp_path):
+        # 1,200 events: deeper than the interpreter's default recursion limit
+        path = write_jsonl(tmp_path, "serial.jsonl", serial_trace(600))
+        proc = run_module("oracle", path, "--bound", "2000", "--format", "json")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["witness"] == list(range(1, 1201))
 
     def test_engine_option_removed(self, capsys):
         # the interleaving search is the only oracle engine

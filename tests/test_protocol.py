@@ -322,9 +322,19 @@ class TestStateEncoding:
     def test_generic_decode_rejects_malformed_key(self):
         fixture = PrivilegedWriterProtocol()
         key = fixture.encode_state((1, (2, 300)))
-        for bad in (key + b"\x00", key[:-1], key[:3], b"", b"\xfe", b"\xfd\xfb"):
+        # the last key nests tuples far deeper than the interpreter's stack
+        deep = b"\xfd\x01" * 3000 + b"\x00"
+        for bad in (key + b"\x00", key[:-1], key[:3], b"", b"\xfe", b"\xfd\xfb", deep):
             with pytest.raises(ParameterError):
                 fixture.decode_state(bad)
+
+    def test_generic_encode_rejects_deep_nesting(self):
+        fixture = PrivilegedWriterProtocol()
+        state = 0
+        for _ in range(3000):
+            state = (state,)
+        with pytest.raises(ParameterError):
+            fixture.encode_state(state)
 
 
 class TestSymmetry:
