@@ -14,7 +14,7 @@ import gc
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import NamedTuple, Optional
 
 from . import monitors
@@ -427,14 +427,14 @@ class AssumptionReport:
 
 
 _VIOLATION_CAP = 20
+_RUN_SAMPLES = 200  # runs whose permutations validate_assumptions replays
+_MAX_PERMS = 6  # non-identity permutations per kind applied to each run
 
 
 @_gc_paused
 def validate_assumptions(
     protocol: MemorySystem,
     depth: int = 10,
-    run_samples: int = 200,
-    max_perms: int = 6,
 ) -> AssumptionReport:
     """Bounded empirical check of the causality and symmetry assumptions.
 
@@ -442,16 +442,14 @@ def validate_assumptions(
     written so far per location) nodes, which preserves exactly what the
     causality check depends on.  A read of a nonzero value never written to
     its location is a causality violation in the run leading to it.  For a
-    deterministic sample of runs, every processor and location permutation
-    (up to max_perms each) is applied to the whole run and to its initial
-    state; failure to replay the permuted run is a symmetry violation.
+    deterministic sample of up to `_RUN_SAMPLES` runs, evenly spaced in
+    search order, the first `_MAX_PERMS` non-identity processor permutations
+    and the first `_MAX_PERMS` location permutations are each applied to the
+    whole run and to its initial state; failure to replay the permuted run
+    is a symmetry violation.  Neither sample size is a parameter.
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
-    if run_samples < 0:
-        raise ParameterError(f"run_samples must be >= 0, got {run_samples}")
-    if max_perms < 0:
-        raise ParameterError(f"max_perms must be >= 0, got {max_perms}")
     empty_written = (frozenset(),) * protocol.m
     by_id, ids = _numbering()  # id <-> (packed state, written)
     roots: dict[int, object] = {}
@@ -489,10 +487,10 @@ def validate_assumptions(
         causality.append(CausalityViolation(run, len(run)))
 
     nodes = len(found.keys)
-    stride = max(1, nodes // run_samples) if run_samples > 0 else nodes + 1
-    sampled = range(nodes)[::stride][:run_samples]
-    proc_perms = [p for p in permutations(range(1, protocol.n + 1))][1:][:max_perms]
-    loc_perms = [p for p in permutations(range(1, protocol.m + 1))][1:][:max_perms]
+    sampled = range(nodes)[:: max(1, nodes // _RUN_SAMPLES)][:_RUN_SAMPLES]
+    # the first permutation is the identity
+    proc_perms = list(islice(permutations(range(1, protocol.n + 1)), 1, _MAX_PERMS + 1))
+    loc_perms = list(islice(permutations(range(1, protocol.m + 1)), 1, _MAX_PERMS + 1))
 
     symmetry: list[SymmetryViolation] = []
     checks = 0

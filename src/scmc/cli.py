@@ -3,7 +3,13 @@
 Subcommands: check (product model checking), analyze (constraint-graph
 analysis of a trace file), oracle (exhaustive sequential-consistency
 decision for short traces), replay (run a recorded event sequence on a
-protocol), validate-assumptions (bounded causality/symmetry validation).
+protocol), validate-assumptions (bounded causality/symmetry validation; it
+replays a fixed sample of runs under a fixed number of permutations, see
+`checker.validate_assumptions`, and neither size is an option).
+
+Each subparser names its handler, a `cmd_*` function that takes the parsed
+namespace; `main` parses, calls the handler and maps errors to exit codes.
+The `check` flags take their defaults from `Config`.
 
 Exit codes are a stable contract: 0 = verified / consistent / clean,
 1 = violation found, 2 = undecided (state or size bound hit, or analysis
@@ -16,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -44,6 +50,7 @@ from .events import (
     MemoryEvent,
     Run,
     dumps_jsonl,
+    event_to_json,
     loads_run_jsonl,
     project_trace,
 )
@@ -105,10 +112,10 @@ def _write(path: str, text: str) -> None:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str]) -> None:
-    body = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(text_lines)
-    if output:
-        _write(output, body + "\n")
+def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
+    body = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(text_lines)
+    if args.output:
+        _write(args.output, body + "\n")
     else:
         print(body)
 
@@ -150,10 +157,15 @@ def state_to_json(state: PiranhaState) -> dict:
     }
 
 
-def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    args.k = _parse_k(args.k)
+    config = Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
+    if args.print_config:
+        print(json.dumps(config.to_json(), indent=2))
+        return EXIT_OK
     protocol = make_protocol(config.protocol, config.n, config.m, config.queue_bound)
     k_max = min(config.n, config.m)
-    ks = list(range(1, k_max + 1)) if config.k == "all" else [int(config.k)]
+    ks = list(range(1, k_max + 1)) if config.k == "all" else [config.k]
     # model_check rejects a k outside 1..k_max
     verdicts: list[Verdict] = [model_check(protocol, k, max_states=config.max_states) for k in ks]
     results = [v.result for v in verdicts]
@@ -165,11 +177,11 @@ def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
         overall, code = "no_violation", EXIT_OK
 
     emitted = None
-    if emit_run is not None:
+    if args.emit_run is not None:
         witness_v = next((v for v in verdicts if v.result == COUNTEREXAMPLE), None)
         if witness_v is not None:
-            _write(emit_run, dumps_jsonl(witness_v.run))
-            emitted = emit_run
+            _write(args.emit_run, dumps_jsonl(witness_v.run))
+            emitted = args.emit_run
 
     lines = []
     for v in verdicts:
@@ -205,136 +217,102 @@ def cmd_check(config: Config, emit_run: Optional[str] = None) -> int:
         "result": overall,
         "emitted_run": emitted,
     }
-    _emit(payload, lines, config.format, config.output)
+    _emit(payload, lines, args)
     return code
 
 
-def cmd_analyze(path: str, fmt: str, output: Optional[str]) -> int:
-    run = _load_run(path)
-    trace = project_trace(run)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    trace = project_trace(_load_run(args.trace))
     try:
         graph = build_constraint_graph(trace)  # checks both preconditions first
         unamb = causal = True
     except PreconditionError:
         graph = None
         unamb, causal = is_unambiguous(trace), is_causal(trace)
-    payload: dict = {
-        "events": len(trace),
-        "n": trace.params.n,
-        "m": trace.params.m,
-        "unambiguous": unamb,
-        "causal": causal,
-        "analysis": None,
-        "cycle_vertices": None,
-        "nice_cycle": None,
-        "verdict": None,
-    }
     lines = [
         f"trace: {len(trace)} memory events, n={trace.params.n}, m={trace.params.m}",
         f"unambiguous: {'yes' if unamb else 'no'}",
         f"causal: {'yes' if causal else 'no'}",
     ]
+    cyc = nice = None
     if graph is None:
-        payload["analysis"] = "skipped"
-        payload["verdict"] = "analysis skipped; trace outside the unambiguous causal class"
-        lines.append(payload["verdict"])
-        _emit(payload, lines, fmt, output)
-        return EXIT_UNDECIDED
-    cyc = find_cycle(graph)
-    if cyc is None:
-        payload["analysis"] = "acyclic"
-        payload["verdict"] = (
-            "acyclic; sequentially consistent under the simple write order"
-        )
-        lines.append(payload["verdict"])
-        _emit(payload, lines, fmt, output)
-        return EXIT_OK
-    payload["analysis"] = "cyclic"
-    payload["cycle_vertices"] = list(cyc)
-    lines.append(f"cycle: vertices {cyc}")
-    nice = find_minimal_nice_cycle(graph)
-    if nice is not None:
-        payload["nice_cycle"] = nice.to_json()
-        payload["verdict"] = (
-            f"{'canonical ' if nice.canonical else ''}{nice.k}-nice cycle found;"
-            " not sequentially consistent under the simple write order"
-        )
-        lines.append(
-            f"nice cycle: k={nice.k}, vertices {nice.vertices},"
-            f" procs {nice.procs}, locs {nice.locs}"
-            f"{', canonical' if nice.canonical else ''}"
-        )
+        analysis, code = "skipped", EXIT_UNDECIDED
+        verdict = "analysis skipped; trace outside the unambiguous causal class"
+    elif (cyc := find_cycle(graph)) is None:
+        analysis, code = "acyclic", EXIT_OK
+        verdict = "acyclic; sequentially consistent under the simple write order"
     else:
-        payload["verdict"] = "cycle found; not sequentially consistent under the simple write order"
-    lines.append(payload["verdict"])
-    _emit(payload, lines, fmt, output)
-    return EXIT_VIOLATION
-
-
-def cmd_oracle(path: str, bound: int, fmt: str, output: Optional[str]) -> int:
-    run = _load_run(path)
-    trace = project_trace(run)
-    payload: dict = {
+        analysis, code = "cyclic", EXIT_VIOLATION
+        verdict = "cycle found; not sequentially consistent under the simple write order"
+        lines.append(f"cycle: vertices {cyc}")
+        nice = find_minimal_nice_cycle(graph)
+        if nice is not None:
+            verdict = f"{'canonical ' if nice.canonical else ''}{nice.k}-nice {verdict}"
+            lines.append(
+                f"nice cycle: k={nice.k}, vertices {nice.vertices},"
+                f" procs {nice.procs}, locs {nice.locs}"
+                f"{', canonical' if nice.canonical else ''}"
+            )
+    lines.append(verdict)
+    payload = {
         "events": len(trace),
-        "bound": bound,
-        "sc": None,
-        "witness": None,
-        "verdict": None,
+        "n": trace.params.n,
+        "m": trace.params.m,
+        "unambiguous": unamb,
+        "causal": causal,
+        "analysis": analysis,
+        "cycle_vertices": None if cyc is None else list(cyc),
+        "nice_cycle": None if nice is None else nice.to_json(),
+        "verdict": verdict,
     }
+    _emit(payload, lines, args)
+    return code
+
+
+def cmd_oracle(args: argparse.Namespace) -> int:
+    trace = project_trace(_load_run(args.trace))
     lines = [f"trace: {len(trace)} memory events"]
+    witness = sc = None
     try:
-        witness = check_sc_oracle(trace, bound=bound)
+        witness = check_sc_oracle(trace, bound=args.bound)
     except OracleBoundError as exc:
-        payload["verdict"] = str(exc)
+        verdict, code = str(exc), EXIT_UNDECIDED
         lines.append(f"undecided: {exc}")
-        _emit(payload, lines, fmt, output)
-        return EXIT_UNDECIDED
-    if witness is None:
-        payload["sc"] = False
-        payload["verdict"] = "not sequentially consistent"
-        lines.append(payload["verdict"])
-        _emit(payload, lines, fmt, output)
-        return EXIT_VIOLATION
-    payload["sc"] = True
-    payload["witness"] = list(witness.f)
-    payload["verdict"] = "sequentially consistent"
-    lines.append(f"witness f = {witness.f}")
-    lines.append(payload["verdict"])
-    _emit(payload, lines, fmt, output)
-    return EXIT_OK
+    else:
+        sc = witness is not None
+        if sc:
+            verdict, code = "sequentially consistent", EXIT_OK
+            lines.append(f"witness f = {witness.f}")
+        else:
+            verdict, code = "not sequentially consistent", EXIT_VIOLATION
+        lines.append(verdict)
+    payload = {
+        "events": len(trace),
+        "bound": args.bound,
+        "sc": sc,
+        "witness": None if witness is None else list(witness.f),
+        "verdict": verdict,
+    }
+    _emit(payload, lines, args)
+    return code
 
 
-def _parse_owners(text: Optional[str], n: int, m: int) -> tuple[int, ...]:
+def _parse_owners(text: Optional[str], m: int) -> tuple[int, ...]:
     if text is None:
         return (1,) * m
     try:
-        owners = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ParameterError(f"bad owner vector {text!r}: {exc}") from exc
-    if len(owners) != m:
-        raise ParameterError(f"owner vector needs {m} entries, got {len(owners)}")
-    for o in owners:
-        if not 1 <= o <= n:
-            raise ParameterError(f"owner {o} outside 1..{n}")
-    return owners
 
 
-def cmd_replay(
-    path: str,
-    protocol_name: str,
-    owners_text: Optional[str],
-    queue_bound: int,
-    unambiguous: bool,
-    fmt: str,
-    output: Optional[str],
-) -> int:
-    run = _load_run(path)
-    n, m = run.params.n, run.params.m
-    protocol = make_protocol(protocol_name, n, m, queue_bound)
-    owners = _parse_owners(owners_text, n, m)
-    initial = protocol.initial_state(owners)
+def cmd_replay(args: argparse.Namespace) -> int:
+    run = _load_run(args.run)
+    protocol = make_protocol(args.protocol, run.params.n, run.params.m, args.queue_bound)
+    owners = _parse_owners(args.owners, run.params.m)
+    initial = protocol.initial_state(owners)  # checks the owner vector
     payload: dict = {
-        "protocol": protocol_name,
+        "protocol": args.protocol,
         "events": len(run.events),
         "initial_owners": list(owners),
         "ok": None,
@@ -342,17 +320,15 @@ def cmd_replay(
         "final_state": None,
         "unambiguous_trace": None,
     }
-    lines = [f"replaying {len(run.events)} events on {protocol_name}, owners {owners}"]
+    lines = [f"replaying {len(run.events)} events on {args.protocol}, owners {owners}"]
     try:
         final = replay(protocol, run, initial)
     except ReplayError as exc:
-        payload["ok"] = False
-        payload["failed_at"] = exc.index
+        payload.update(ok=False, failed_at=exc.index)
         lines.append(f"replay failed at event index {exc.index}: {exc}")
-        _emit(payload, lines, fmt, output)
+        _emit(payload, lines, args)
         return EXIT_VIOLATION
-    payload["ok"] = True
-    payload["final_state"] = state_to_json(final)
+    payload.update(ok=True, final_state=state_to_json(final))
     lines.append("replay succeeded")
     for i, row in enumerate(final.cache, 1):
         cells = " ".join(
@@ -360,37 +336,19 @@ def cmd_replay(
         )
         lines.append(f"  cache[{i}]: {cells}")
     lines.append(f"  owner: {final.owner}")
-    if unambiguous:
+    if args.unambiguous:
         trace = replay_unambiguous(protocol, run, initial)
-        payload["unambiguous_trace"] = [
-            {"op": e.op, "proc": e.proc, "loc": e.loc, "data": e.data}
-            for e in trace.events
-        ]
+        payload["unambiguous_trace"] = [event_to_json(e) for e in trace.events]
         lines.append(
             "unambiguous trace: " + " ".join(format_event(e) for e in trace.events)
         )
-    _emit(payload, lines, fmt, output)
+    _emit(payload, lines, args)
     return EXIT_OK
 
 
-def cmd_validate_assumptions(
-    protocol_name: str,
-    n: int,
-    m: int,
-    queue_bound: int,
-    depth: int,
-    samples: int,
-    max_perms: int,
-    fmt: str,
-    output: Optional[str],
-) -> int:
-    for flag, value in (("--samples", samples), ("--max-perms", max_perms)):
-        if value < 0:
-            raise ParameterError(f"{flag} must be >= 0, got {value}")
-    protocol = make_protocol(protocol_name, n, m, queue_bound)
-    report = validate_assumptions(
-        protocol, depth=depth, run_samples=samples, max_perms=max_perms
-    )
+def cmd_validate_assumptions(args: argparse.Namespace) -> int:
+    protocol = make_protocol(args.protocol, args.n, args.m, args.queue_bound)
+    report = validate_assumptions(protocol, depth=args.depth)
     lines = [
         f"explored {report.nodes} nodes / {report.edges} edges to depth {report.depth}",
         f"causality violations: {len(report.causality_violations)}",
@@ -407,7 +365,7 @@ def cmd_validate_assumptions(
             f"  symmetry: {v.kind} permutation {v.perm} fails to replay at event {v.failed_at}"
         )
     lines.append("ok" if report.ok else "violations found")
-    _emit(report.to_json(), lines, fmt, output)
+    _emit(report.to_json(), lines, args)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -416,19 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--output", metavar="PATH", default=None,
+    common.add_argument("--format", choices=("text", "json"), default=Config.format)
+    common.add_argument("--output", metavar="PATH", default=Config.output,
                         help="write the report to PATH instead of stdout")
 
     p = sub.add_parser("check", parents=[common],
                        help="model-check a protocol against the cycle monitors")
-    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="piranha")
-    p.add_argument("--n", type=int, default=2, help="processor count")
-    p.add_argument("--m", type=int, default=2, help="location count")
-    p.add_argument("--k", default="all",
+    p.set_defaults(handler=cmd_check)
+    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default=Config.protocol)
+    p.add_argument("--n", type=int, default=Config.n, help="processor count")
+    p.add_argument("--m", type=int, default=Config.m, help="location count")
+    p.add_argument("--k", default=Config.k,
                    help="cycle size to check, or 'all' for 1..min(n,m)")
-    p.add_argument("--queue-bound", type=int, default=DEFAULT_QUEUE_BOUND)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--queue-bound", type=int, default=Config.queue_bound)
+    p.add_argument("--max-states", type=int, default=Config.max_states)
     p.add_argument("--emit-run", metavar="PATH", default=None,
                    help="write the first counterexample run to PATH as JSON lines")
     p.add_argument("--print-config", action="store_true",
@@ -436,32 +395,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common],
                        help="constraint-graph analysis of a trace file")
+    p.set_defaults(handler=cmd_analyze)
     p.add_argument("trace", help="JSON-lines trace/run file, or - for stdin")
 
     p = sub.add_parser("oracle", parents=[common],
                        help="decide sequential consistency of a short trace exhaustively")
+    p.set_defaults(handler=cmd_oracle)
     p.add_argument("trace", help="JSON-lines trace/run file, or - for stdin")
     p.add_argument("--bound", type=int, default=ORACLE_BOUND_DEFAULT)
 
     p = sub.add_parser("replay", parents=[common],
                        help="replay a recorded run on a protocol")
+    p.set_defaults(handler=cmd_replay)
     p.add_argument("run", help="JSON-lines run file, or - for stdin")
-    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="piranha")
+    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default=Config.protocol)
     p.add_argument("--owners", default=None,
                    help="comma-separated initial owner per location (default: all 1)")
-    p.add_argument("--queue-bound", type=int, default=DEFAULT_QUEUE_BOUND)
+    p.add_argument("--queue-bound", type=int, default=Config.queue_bound)
     p.add_argument("--unambiguous", action="store_true",
                    help="also derive the fresh-value trace of the run")
 
     p = sub.add_parser("validate-assumptions", parents=[common],
                        help="bounded causality and symmetry validation of a protocol")
-    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="piranha")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--queue-bound", type=int, default=DEFAULT_QUEUE_BOUND)
+    p.set_defaults(handler=cmd_validate_assumptions)
+    p.add_argument("--protocol", choices=PROTOCOL_NAMES, default=Config.protocol)
+    p.add_argument("--n", type=int, default=Config.n)
+    p.add_argument("--m", type=int, default=Config.m)
+    p.add_argument("--queue-bound", type=int, default=Config.queue_bound)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-perms", type=int, default=6)
     return parser
 
 
@@ -475,57 +436,13 @@ def _parse_k(value) -> Union[int, str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            config = Config(
-                protocol=args.protocol,
-                n=args.n,
-                m=args.m,
-                k=_parse_k(args.k),
-                queue_bound=args.queue_bound,
-                max_states=args.max_states,
-                format=args.format,
-                output=args.output,
-            )
-            if args.print_config:
-                print(json.dumps(config.to_json(), indent=2))
-                return EXIT_OK
-            return cmd_check(config, emit_run=args.emit_run)
-        if args.command == "analyze":
-            return cmd_analyze(args.trace, args.format, args.output)
-        if args.command == "oracle":
-            return cmd_oracle(args.trace, args.bound, args.format, args.output)
-        if args.command == "replay":
-            return cmd_replay(
-                args.run,
-                args.protocol,
-                args.owners,
-                args.queue_bound,
-                args.unambiguous,
-                args.format,
-                args.output,
-            )
-        if args.command == "validate-assumptions":
-            return cmd_validate_assumptions(
-                args.protocol,
-                args.n,
-                args.m,
-                args.queue_bound,
-                args.depth,
-                args.samples,
-                args.max_perms,
-                args.format,
-                args.output,
-            )
-        raise ParameterError(f"unknown command {args.command!r}")
-    except (SoundnessError, DataIndependenceError) as exc:
-        print(f"scmc: error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return args.handler(args)
     except ScmcError as exc:
         print(f"scmc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        internal = isinstance(exc, (SoundnessError, DataIndependenceError))
+        return EXIT_INTERNAL if internal else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -303,6 +303,8 @@ def loads_run_jsonl(text: str) -> Run:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON ({exc.msg})", line_no) from None
+        except RecursionError:
+            raise FormatError("invalid JSON (nested too deeply)", line_no) from None
         if header is None:
             if not (isinstance(record, dict) and set(record) == {"n", "m", "v"}):
                 raise FormatError('first line must be a header {"n", "m", "v"}', line_no)

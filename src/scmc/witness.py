@@ -35,7 +35,7 @@ def expanded_order(trace: Trace, loc: int) -> frozenset[tuple[int, int]]:
     if not 1 <= loc <= trace.params.m:
         raise ParameterError(f"loc {loc} outside 1..{trace.params.m}")
     graph = build_constraint_graph(trace)
-    members = graph.loc_members[loc]
+    members = graph.loc_members.get(loc, ())
     return frozenset(
         (x, y) for x in members for y in members if graph._loc_pair(x, y)
     )
@@ -64,8 +64,8 @@ class ConstraintGraph:
     """
 
     trace: Trace
-    loc_members: dict[int, tuple[int, ...]]
-    writes: dict[int, tuple[int, ...]]  # per location, in trace order
+    loc_members: dict[int, tuple[int, ...]]  # per location that occurs
+    writes: dict[int, tuple[int, ...]]  # per location that occurs, in trace order
     level: tuple[int, ...]  # level[v] for v in 1..len(trace); level[0] unused
     _loc_succ_cache: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -228,7 +228,9 @@ class ConstraintGraph:
 def build_constraint_graph(trace: Trace) -> ConstraintGraph:
     _require_unambiguous_causal(trace)
     events = trace.events
-    locs = range(1, trace.params.m + 1)
+    # keyed by the locations that occur, not 1..m: a header may declare far
+    # more locations than the events use
+    locs = sorted({e.loc for e in events})
     members: dict[int, list[int]] = {j: [] for j in locs}
     writes: dict[int, list[int]] = {j: [] for j in locs}
     for v, e in enumerate(events, 1):

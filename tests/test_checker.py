@@ -483,7 +483,7 @@ class TestExploreProtocol:
 class TestValidateAssumptions:
     def test_piranha_clean(self):
         p = make_protocol("piranha", 2, 2, 2)
-        report = validate_assumptions(p, depth=4, run_samples=60)
+        report = validate_assumptions(p, depth=4)
         assert report.ok
         assert report.nodes > 0 and report.edges > 0
         assert report.symmetry_checks > 0
@@ -502,7 +502,7 @@ class TestValidateAssumptions:
 
     def test_asymmetric_fixture_flagged(self):
         fixture = PrivilegedWriterProtocol(n=2, m=2, v=2)
-        report = validate_assumptions(fixture, depth=3, run_samples=40)
+        report = validate_assumptions(fixture, depth=3)
         assert len(report.symmetry_violations) >= 1
         assert all(v.kind == "proc" for v in report.symmetry_violations)
         assert not report.causality_violations
@@ -522,7 +522,7 @@ class TestValidateAssumptions:
 
     def test_report_json(self):
         fixture = PrivilegedWriterProtocol()
-        d = validate_assumptions(fixture, depth=2, run_samples=10).to_json()
+        d = validate_assumptions(fixture, depth=2).to_json()
         assert d["ok"] is False
         assert d["symmetry_violations"]
         first = d["symmetry_violations"][0]
@@ -531,9 +531,3 @@ class TestValidateAssumptions:
     def test_negative_depth(self):
         with pytest.raises(ParameterError):
             validate_assumptions(PrivilegedWriterProtocol(), depth=-1)
-
-    def test_negative_sampling_limits(self):
-        with pytest.raises(ParameterError, match="run_samples"):
-            validate_assumptions(PrivilegedWriterProtocol(), depth=1, run_samples=-3)
-        with pytest.raises(ParameterError, match="max_perms"):
-            validate_assumptions(PrivilegedWriterProtocol(), depth=1, max_perms=-2)

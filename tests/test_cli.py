@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,27 @@ class TestAnalyze:
         assert main(["analyze", "-"]) == EXIT_USAGE
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_usage(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(
+            '{"n": 1, "m": 1, "v": 1}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+            encoding="utf-8",
+        )
+        proc = run_module("analyze", str(path))
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert "line 2: invalid JSON (nested too deeply)" in proc.stderr
+
+    def test_huge_declared_location_count(self, tmp_path, capsys):
+        # the graph's tables cover the locations the events use, not 1..m
+        trace = Trace((W(1, 1, 1), R(1, 1, 1)), Params(1, 10**9, 1))
+        path = write_jsonl(tmp_path, "wide.jsonl", trace)
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["analyze", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert (payload["m"], payload["analysis"]) == (10**9, "acyclic")
+
     def test_unwritable_output(self, tmp_path, capsys):
         path = write_jsonl(tmp_path, "t3.jsonl", TRACE3)
         target = tmp_path / "missing" / "x.json"
@@ -387,7 +409,7 @@ class TestValidateAssumptions:
     def test_piranha_clean(self, capsys):
         code, payload = run_json(
             capsys,
-            ["validate-assumptions", "--depth", "4", "--samples", "40"],
+            ["validate-assumptions", "--depth", "4"],
         )
         assert code == EXIT_OK
         assert payload["ok"] is True
@@ -396,17 +418,48 @@ class TestValidateAssumptions:
         assert payload["nodes"] > 0 and payload["symmetry_checks"] > 0
 
     @pytest.mark.parametrize("flag", ["--samples", "--max-perms"])
-    def test_negative_sampling_flag_is_usage_error(self, flag, capsys):
-        assert main(["validate-assumptions", "--depth", "1", flag, "-2"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "must be >= 0" in captured.err
+    def test_sampling_flags_removed(self, flag, capsys):
+        # the sample sizes are fixed in checker.validate_assumptions
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-assumptions", "--depth", "1", flag, "40"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 40" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--samples", "--max-perms"])
-    def test_range_error_names_the_flag(self, flag, capsys):
-        # the message names the flag, not the library parameter
-        assert main(["validate-assumptions", "--depth", "1", flag, "-3"]) == EXIT_USAGE
-        assert f"{flag} must be >= 0, got -3" in capsys.readouterr().err
+
+JSON_KEYS = {
+    "check": ["config", "verdicts", "result", "emitted_run"],
+    "analyze": [
+        "events", "n", "m", "unambiguous", "causal", "analysis",
+        "cycle_vertices", "nice_cycle", "verdict",
+    ],
+    "oracle": ["events", "bound", "sc", "witness", "verdict"],
+    "replay": [
+        "protocol", "events", "initial_owners", "ok", "failed_at",
+        "final_state", "unambiguous_trace",
+    ],
+    "validate-assumptions": [
+        "depth", "nodes", "edges", "causality_violations", "runs_sampled",
+        "symmetry_checks", "symmetry_violations", "ok",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_KEYS))
+def test_json_payload_keys(command, tmp_path, capsys):
+    # the top-level keys of each --format json payload, in order
+    trace = write_jsonl(tmp_path, "t3.jsonl", TRACE3)
+    argv = {
+        "check": ["check", "--n", "1", "--m", "1", "--queue-bound", "1"],
+        "analyze": ["analyze", trace],
+        "oracle": ["oracle", trace],
+        "replay": [
+            "replay", write_jsonl(tmp_path, "run12.jsonl", RUN12),
+            "--protocol", "piranha-buggy", "--unambiguous",
+        ],
+        "validate-assumptions": ["validate-assumptions", "--depth", "1"],
+    }[command]
+    _code, payload = run_json(capsys, argv)
+    assert list(payload) == JSON_KEYS[command]
 
 
 class TestParserContract:

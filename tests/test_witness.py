@@ -61,6 +61,12 @@ class TestExpandedOrder:
         with pytest.raises(PreconditionError):
             expanded_order(t, 1)
 
+    def test_unused_location(self):
+        # the graph's tables hold only the locations the events use
+        t = Trace((W(1, 2, 1), R(1, 2, 1)), Params(1, 3, 1))
+        assert set(build_constraint_graph(t).loc_members) == {2}
+        assert expanded_order(t, 1) == expanded_order(t, 3) == frozenset()
+
     def test_out_of_range_location(self):
         with pytest.raises(ParameterError):
             expanded_order(EXAMPLE, 2)
