@@ -103,38 +103,55 @@ def _programs(trace: Trace) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, progs.values()))
 
 
-def _exec_step(e, mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def _steps(trace: Trace) -> tuple[tuple[tuple[bool, int, int], ...], int]:
+    """Each event as (is a write, memory slot, data), and the slot count.
+
+    The memory has one slot per location that occurs, not one per location
+    the header declares, so its size is bounded by the trace length.
+    """
+    slots: dict[int, int] = {}
+    steps = tuple(
+        (e.op == WRITE, slots.setdefault(e.loc, len(slots)), e.data) for e in trace.events
+    )
+    return steps, len(slots)
+
+
+def _exec_step(step: tuple[bool, int, int], mem: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     # serial-memory semantics: None when the event cannot fire now
-    if e.op == WRITE:
-        if mem[e.loc - 1] == e.data:
+    is_write, slot, data = step
+    if is_write:
+        if mem[slot] == data:
             return mem
-        return mem[: e.loc - 1] + (e.data,) + mem[e.loc :]
-    if mem[e.loc - 1] != e.data:
+        return mem[:slot] + (data,) + mem[slot + 1 :]
+    if mem[slot] != data:
         return None
     return mem
 
 
 def _feasible_with_pins(
-    trace: Trace, progs: tuple[tuple[int, ...], ...], pins: dict[int, int]
+    steps: tuple[tuple[bool, int, int], ...],
+    width: int,
+    progs: tuple[tuple[int, ...], ...],
+    pins: dict[int, int],
 ) -> Optional[list[int]]:
     """A valid interleaving placing each event u at position pins[u].
 
     Returns the event indices in serial order, or None if there is none.
     Depth-first search over states (cursor vector, memory): the cursors
     say how much of each program in `progs` (`_programs(trace)`) has run,
-    and the enabled events are tried in ascending trace index, so an
-    unpinned search of a serial trace walks straight down the trace.  A
-    state with no completion is remembered as dead.  The search keeps its
-    own stack, so trace length is not capped by the recursion limit.  With
-    no pins it decides sequential consistency.
+    and the memory has `width` slots, one per location that occurs
+    (`_steps(trace)`).  The enabled events are tried in ascending trace
+    index, so an unpinned search of a serial trace walks straight down the
+    trace.  A state with no completion is remembered as dead.  The search
+    keeps its own stack, so trace length is not capped by the recursion
+    limit.  With no pins it decides sequential consistency.
     """
-    events = trace.events
-    total = len(events)
+    total = len(steps)
     pos_to_event = {p: u for u, p in pins.items()}
     dead: set = set()
-    slots = range(len(progs))
+    prog_ids = range(len(progs))
     cursors = [0] * len(progs)
-    mem = (0,) * trace.params.m
+    mem = (0,) * width
     path: list[int] = []
     # one frame per state on the path: its key and memory, the moves not
     # yet tried from it, and the program whose cursor moved to enter it
@@ -146,16 +163,16 @@ def _feasible_with_pins(
         if key in dead:
             moves: list = []
         elif want is None:
-            moves = sorted([(idxs[c], i) for i, idxs, c in zip(slots, progs, cursors)
+            moves = sorted([(idxs[c], i) for i, idxs, c in zip(prog_ids, progs, cursors)
                             if c < len(idxs) and idxs[c] not in pins])
         else:
-            moves = [(want, i) for i, idxs, c in zip(slots, progs, cursors)
+            moves = [(want, i) for i, idxs, c in zip(prog_ids, progs, cursors)
                      if c < len(idxs) and idxs[c] == want]
         stack.append((key, mem, iter(moves), entered))
         while True:
             key, mem, untried, entered = stack[-1]
             for u, i in untried:
-                mem2 = _exec_step(events[u - 1], mem)
+                mem2 = _exec_step(steps[u - 1], mem)
                 if mem2 is not None:
                     break
             else:
@@ -175,7 +192,10 @@ def _feasible_with_pins(
 
 
 def _lex_min_witness(
-    trace: Trace, progs: tuple[tuple[int, ...], ...], order: list[int]
+    steps: tuple[tuple[bool, int, int], ...],
+    width: int,
+    progs: tuple[tuple[int, ...], ...],
+    order: list[int],
 ) -> tuple[int, ...]:
     """The least f, taken event by event, given one serialization `order`.
 
@@ -189,7 +209,7 @@ def _lex_min_witness(
     are skipped, since no interleaving allows them.  The result is the
     same f as searching every candidate p.
     """
-    total = len(trace)
+    total = len(steps)
     pred = [0] * (total + 1)
     for idxs in progs:
         for a, b in zip(idxs, idxs[1:]):
@@ -202,7 +222,7 @@ def _lex_min_witness(
             if p in taken:
                 continue
             pins[u] = p
-            found = _feasible_with_pins(trace, progs, pins)
+            found = _feasible_with_pins(steps, width, progs, pins)
             if found is not None:
                 pos = _positions(found)
                 break
@@ -241,7 +261,8 @@ def check_sc_oracle(
     if total > bound:
         raise OracleBoundError(total, bound)
     progs = _programs(trace)
-    order = _feasible_with_pins(trace, progs, {})
+    steps, width = _steps(trace)
+    order = _feasible_with_pins(steps, width, progs, {})
     if order is None:
         return None
-    return SerialWitness(_lex_min_witness(trace, progs, order))
+    return SerialWitness(_lex_min_witness(steps, width, progs, order))

@@ -20,7 +20,9 @@ not data independent).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -112,12 +114,28 @@ def _write(path: str, text: str) -> None:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
+def _print(text: str) -> None:
+    """Print to stdout; a reader that has gone away does not fail the command.
+
+    After a BrokenPipeError (`scmc analyze t.jsonl | head -1`) the command
+    still exits with its verdict's code.  stdout is pointed at os.devnull so
+    that the interpreter's flush at exit does not fail on the closed pipe.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
     body = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(text_lines)
     if args.output:
         _write(args.output, body + "\n")
     else:
-        print(body)
+        _print(body)
 
 
 def _read_input(path: str) -> str:
@@ -161,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     args.k = _parse_k(args.k)
     config = Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
     if args.print_config:
-        print(json.dumps(config.to_json(), indent=2))
+        _print(json.dumps(config.to_json(), indent=2))
         return EXIT_OK
     protocol = make_protocol(config.protocol, config.n, config.m, config.queue_bound)
     k_max = min(config.n, config.m)
@@ -435,8 +453,17 @@ def _parse_k(value) -> Union[int, str]:
         raise ParameterError(f"k must be an integer or 'all', got {value!r}") from None
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process on first use.
+
+    Parsing leaves no state in it: each call gets a fresh namespace.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ScmcError as exc:

@@ -118,10 +118,16 @@ class Run:
 
 
 def project_trace(run: Run) -> Trace:
-    """The memory-event subsequence of a run, order preserved."""
-    return Trace(
-        tuple(e for e in run.events if isinstance(e, MemoryEvent)), run.params
-    )
+    """The memory-event subsequence of a run, order preserved.
+
+    The run checked each of these events against the same params when it
+    was made, so the trace is made without checking them again.
+    """
+    events = tuple(e for e in run.events if isinstance(e, MemoryEvent))
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "events", events)
+    object.__setattr__(trace, "params", run.params)
+    return trace
 
 
 def _check_proc(trace: Trace, i: int) -> None:
@@ -267,19 +273,27 @@ def dump_jsonl(obj: Trace | Run, fp: IO[str]) -> None:
 
 _MEMORY_KEYS = {"op", "proc", "loc", "data"}
 _INTERNAL_KEYS = {"internal", "params"}
+_HEADER_KEYS = {"n", "m", "v"}
+# The scanner json.loads runs, without its two whitespace passes, which a
+# stripped line does not need.  json.loads also rejects a leading byte-order
+# mark, which this reads as a missing value; loads_run_jsonl names it.
+_raw_decode = json.JSONDecoder().raw_decode
+# What MemoryEvent(...) runs, without the Python-level __new__ that
+# NamedTuple generates around it; the decoder makes one per memory event.
+_tuple_new = tuple.__new__
 
 
 def _parse_event(record: object, line: int) -> Event:
     if not isinstance(record, dict):
         raise FormatError(f"expected an event object, got {record!r}", line)
-    keys = set(record)
+    keys = record.keys()
     if "op" in keys:
         if keys != _MEMORY_KEYS:
             raise FormatError(f"memory event keys must be {sorted(_MEMORY_KEYS)}", line)
-        op, proc, loc, data = record["op"], record["proc"], record["loc"], record["data"]
-        if not all(type(x) is int for x in (proc, loc, data)):
+        proc, loc, data = record["proc"], record["loc"], record["data"]
+        if not (type(proc) is int and type(loc) is int and type(data) is int):
             raise FormatError("proc, loc and data must be integers", line)
-        return MemoryEvent(op, proc, loc, data)
+        return _tuple_new(MemoryEvent, (record["op"], proc, loc, data))
     if "internal" in keys:
         if keys != _INTERNAL_KEYS:
             raise FormatError(f"internal event keys must be {sorted(_INTERNAL_KEYS)}", line)
@@ -293,6 +307,10 @@ def _parse_event(record: object, line: int) -> Event:
 
 
 def loads_run_jsonl(text: str) -> Run:
+    """Decode a run; each line is read as `json.loads` reads it.
+
+    Errors name their line; invalid JSON keeps json.loads' own message.
+    """
     header = None
     events: list[Event] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -300,13 +318,20 @@ def loads_run_jsonl(text: str) -> Run:
         if not raw:
             continue
         try:
-            record = json.loads(raw)
+            record, end = _raw_decode(raw)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", line_no) from None
+            msg = exc.msg
+            if raw.startswith("\ufeff"):
+                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise FormatError(f"invalid JSON ({msg})", line_no) from None
         except RecursionError:
             raise FormatError("invalid JSON (nested too deeply)", line_no) from None
+        except ValueError:  # an integer longer than int() accepts
+            raise FormatError("invalid JSON (integer has too many digits)", line_no) from None
+        if end != len(raw):
+            raise FormatError("invalid JSON (Extra data)", line_no)
         if header is None:
-            if not (isinstance(record, dict) and set(record) == {"n", "m", "v"}):
+            if not (isinstance(record, dict) and record.keys() == _HEADER_KEYS):
                 raise FormatError('first line must be a header {"n", "m", "v"}', line_no)
             if not all(type(record[k]) is int for k in ("n", "m", "v")):
                 raise FormatError("header values must be integers", line_no)

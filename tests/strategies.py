@@ -1,4 +1,5 @@
 """Hypothesis strategies shared across the test modules."""
+import json
 import random
 from functools import lru_cache
 
@@ -95,3 +96,66 @@ def protocol_walks(draw, max_events=10):
 def analyzable_traces():
     """Synthetic unambiguous causal traces and protocol walks."""
     return st.one_of(unambiguous_causal_traces(), protocol_walks())
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["R", "W", "UPD", "ACKX", ""]),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["op", "proc", "loc", "data", "internal", "params", "n", "m", "v", "x"])
+
+
+@st.composite
+def _records(draw):
+    """An event or header object with a random key set and random values."""
+    keys = draw(st.lists(_KEYS, max_size=5, unique=True))
+    return {key: draw(_JSON_VALUES) for key in keys}
+
+
+_LINES = st.one_of(
+    _records().map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.builds(
+        lambda n, m, v: json.dumps({"n": n, "m": m, "v": v}),
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+    ),
+    st.builds(
+        lambda op, p, l, d: json.dumps({"op": op, "proc": p, "loc": l, "data": d}),
+        st.sampled_from(["R", "W", "X"]), st.integers(0, 3), st.integers(0, 3), st.integers(-1, 3),
+    ),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def jsonl_texts(draw):
+    """Text shaped like a JSON-lines run: well-formed lines, near misses
+    (wrong keys, values of the wrong type, out-of-range fields) and
+    arbitrary text, each line possibly cut short or padded, joined by
+    any line boundary `str.splitlines` knows."""
+    lines = draw(st.lists(_LINES, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, '{"n": 3, "m": 3, "v": 3}')
+    out = []
+    for line in lines:
+        cut = draw(st.integers(0, len(line)))
+        if draw(st.integers(0, 7)) == 0:
+            line = line[:cut]
+        pad = draw(st.sampled_from(["", " ", "\t", "\u00a0", "\ufeff", " x", "}", "{}"]))
+        line = pad + line if draw(st.booleans()) else line + pad
+        out.append(line)
+    seps = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", " ", "\n\n"]),
+                         min_size=len(out), max_size=len(out)))
+    return "".join(line + sep for line, sep in zip(out, seps))

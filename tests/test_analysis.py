@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,6 +143,28 @@ class TestOracle:
     def test_negative_bound_rejected(self):
         with pytest.raises(ParameterError):
             check_sc_oracle(Trace((), Params(1, 1, 1)), bound=-1)
+
+    def test_memory_sized_by_locations_used(self):
+        # the header declares 10^7 locations; the search's memory has one
+        trace = Trace((W(1, 1, 1),), Params(1, 10_000_000, 1))
+        tracemalloc.start()
+        try:
+            w = check_sc_oracle(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is not None and w.f == (1,)
+        assert peak < 1_000_000
+
+    def test_witness_independent_of_location_numbering(self):
+        # spreading the corpus' locations over 1..10^4 changes no witness
+        for trace in all_traces()[::7]:
+            spread = Trace(
+                tuple(e._replace(loc=e.loc * 3_331) for e in trace.events),
+                Params(trace.params.n, 10_000, trace.params.v),
+            )
+            a, b = check_sc_oracle(trace), check_sc_oracle(spread)
+            assert (a is None and b is None) or a.f == b.f
 
     def test_permutation_engine_bound(self):
         t = Trace((R(1, 1, 0),) * (PERMUTATION_BOUND + 1), Params(1, 1, 1))

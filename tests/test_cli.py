@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,9 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scmc import (
+    FormatError,
     InternalEvent,
+    ParameterError,
     MemoryEvent,
     Params,
     READ,
@@ -33,7 +38,9 @@ from scmc.cli import (
 )
 from corpus import serial_trace
 from fixtures import HallucinatingReadProtocol
+from reference_jsonl import reference_loads_run_jsonl
 from reference_oracle import permutation_oracle
+from strategies import jsonl_texts
 from reference_witness import is_cycle_of
 
 W = lambda i, j, d: MemoryEvent(WRITE, i, j, d)
@@ -43,15 +50,17 @@ ACKS = lambda i, j: InternalEvent("ACKS", (i, j))
 UPD = lambda i: InternalEvent("UPD", (i,))
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
-    """`python -m scmc *args` in a child that imports the scmc under test."""
+def run_module(*args: str, stdout=subprocess.PIPE, env=None) -> subprocess.CompletedProcess:
+    """`python -m scmc *args` in a child that imports the scmc under test;
+    `env` adds to or overrides the child's environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "scmc", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
@@ -486,3 +495,92 @@ class TestParserContract:
     def test_console_script_usage_error(self):
         proc = run_module("check", "--queue-bound", "x")
         assert proc.returncode == EXIT_USAGE
+
+
+class TestClosedStdout:
+    """A reader that has gone away ends the output, not the command."""
+
+    # a buffered stdout fails when it is flushed, an unbuffered one at print
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("trace, code", [(TRACE3, EXIT_OK), (VIOLATION4, EXIT_VIOLATION)])
+    def test_exit_code_is_the_verdicts(self, tmp_path, trace, code, unbuffered):
+        path = write_jsonl(tmp_path, "t.jsonl", trace)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts: its first write fails
+        try:
+            proc = run_module("analyze", path, "--format", "json", stdout=write_end,
+                              env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call leaves state in it."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        path = write_jsonl(tmp_path, "t3.jsonl", TRACE3)
+        assert main(["analyze", path]) == EXIT_OK
+
+        def unexpected():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", unexpected)
+        assert main(["analyze", path]) == EXIT_OK
+
+    def test_check_flags_do_not_outlive_their_call(self, capsys):
+        argv = ["check", "--n", "3", "--m", "2", "--k", "1", "--queue-bound", "1",
+                "--max-states", "50", "--format", "json"]
+        assert main(argv) == EXIT_UNDECIDED
+        capsys.readouterr()
+        assert main(["check", "--print-config"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == Config().to_json()
+
+    def test_usage_error_then_analyze_matches_a_fresh_call(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path, "v4.jsonl", VIOLATION4)
+        argv = ["analyze", path, "--format", "json"]
+        cli._shared_parser.cache_clear()
+        fresh = main(argv), capsys.readouterr()
+        usage_errors = (
+            ["analyze"],
+            ["analyze", path, "--format", "xml"],
+            ["analyze", path, "--bogus"],
+            ["check", "--n", "x"],
+            ["frobnicate"],
+        )
+        for bad in usage_errors:
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == EXIT_USAGE
+            capsys.readouterr()
+            assert (main(argv), capsys.readouterr()) == fresh
+
+
+class TestFuzzedInput:
+    @given(data=st.one_of(
+        jsonl_texts().map(str.encode), st.text().map(str.encode), st.binary(max_size=64)
+    ))
+    def test_bad_input_exits_usage(self, tmp_path_factory, data):
+        # the decoder raises only FormatError or ParameterError, and the
+        # command maps either to exit 3; input that decodes gets a verdict
+        path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+        path.write_bytes(data)
+        try:
+            reference_loads_run_jsonl(data.decode("utf-8"))
+            bad = False
+        except (UnicodeDecodeError, FormatError, ParameterError):
+            bad = True
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)])
+        if bad:
+            assert code == EXIT_USAGE
+            assert err.getvalue().startswith("scmc: error: ")
+        else:
+            assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_UNDECIDED)
+            assert err.getvalue() == ""

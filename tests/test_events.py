@@ -31,7 +31,13 @@ from scmc.events import (
     write_indices,
 )
 from scmc.monitors import ConstrainAutomaton, accepts
-from strategies import arbitrary_traces, permutations_of, unambiguous_causal_traces
+from reference_jsonl import reference_loads_run_jsonl
+from strategies import (
+    arbitrary_traces,
+    jsonl_texts,
+    permutations_of,
+    unambiguous_causal_traces,
+)
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -266,3 +272,104 @@ class TestJsonLines:
         assert json.loads(lines[0]) == {"n": 2, "m": 1, "v": 1}
         assert json.loads(lines[1]) == {"internal": "ACKX", "params": [1, 1]}
         assert json.loads(lines[3]) == {"op": "W", "proc": 1, "loc": 1, "data": 1}
+
+
+HEADER = '{"n": 2, "m": 2, "v": 2}\n'
+EVENT = '{"op": "W", "proc": 1, "loc": 1, "data": 1}'
+
+# Malformed and borderline inputs on which the decoder must agree with the
+# per-line json.loads reference: same Run, or same error, message and line.
+MALFORMED = {
+    "trailing data": HEADER + EVENT + " x\n",
+    "two values on a line": HEADER + EVENT + EVENT + "\n",
+    "trailing data after spaces": HEADER + EVENT + " \u00a0 x\n",
+    "trailing number": HEADER + "1 2\n",
+    "header with trailing data": '{"n": 1, "m": 1, "v": 1} {}\n',
+    "NaN field": HEADER + '{"op": "W", "proc": NaN, "loc": 1, "data": 1}\n',
+    "Infinity field": HEADER + '{"op": "W", "proc": 1, "loc": 1, "data": -Infinity}\n',
+    "NaN header": '{"n": NaN, "m": 1, "v": 1}\n',
+    "NaN event": HEADER + "NaN\n",
+    "float field": HEADER + '{"op": "W", "proc": 1.0, "loc": 1, "data": 1}\n',
+    "boolean field": HEADER + '{"op": "W", "proc": true, "loc": 1, "data": 1}\n',
+    "boolean header": '{"n": 1, "m": false, "v": 1}\n',
+    "boolean param": HEADER + '{"internal": "UPD", "params": [1, true]}\n',
+    "params not a list": HEADER + '{"internal": "UPD", "params": 1}\n',
+    "label not a string": HEADER + '{"internal": 7, "params": []}\n',
+    "extra key": HEADER + '{"op": "W", "proc": 1, "loc": 1, "data": 1, "x": 0}\n',
+    "missing key": HEADER + '{"op": "W", "proc": 1, "loc": 1}\n',
+    "missing params": HEADER + '{"internal": "UPD"}\n',
+    "mixed keys": HEADER + '{"op": "W", "internal": "UPD"}\n',
+    "neither kind": HEADER + '{"proc": 1}\n',
+    "empty object": HEADER + "{}\n",
+    "array event": HEADER + "[1, 2]\n",
+    "string event": HEADER + '"W"\n',
+    "null event": HEADER + "null\n",
+    "header extra key": '{"n": 1, "m": 1, "v": 1, "k": 1}\n',
+    "header missing key": '{"n": 1, "m": 1}\n',
+    "header not an object": "[1, 1, 1]\n",
+    "zero in header": '{"n": 0, "m": 1, "v": 1}\n',
+    "event out of range": HEADER + '{"op": "W", "proc": 3, "loc": 1, "data": 1}\n',
+    "bad op": HEADER + '{"op": "X", "proc": 1, "loc": 1, "data": 1}\n',
+    "invalid JSON": HEADER + "{nope\n",
+    "unterminated string": HEADER + '{"op": "W\n',
+    "nested 100,000 deep": HEADER + "[" * 100_000 + "]" * 100_000 + "\n",
+    "BOM before the header": "\ufeff" + HEADER,
+    "BOM before an event": HEADER + "\ufeff" + EVENT + "\n",
+    "BOM after spaces": HEADER + "  \ufeff" + EVENT + "\n",
+    "BOM alone": HEADER + "\ufeff\n",
+    "BOM after a value": HEADER + EVENT + "\ufeff\n",
+    "empty input": "",
+    "blank lines only": "\n \n\t\n",
+    "header only": HEADER,
+    "unicode blank line": HEADER + "\u00a0\u2028" + EVENT + "\x0c\n",
+    "carriage returns": HEADER.replace("\n", "\r\n") + EVENT + "\r\n",
+}
+
+
+def decode_outcome(decode, text):
+    """A decoder's Run, or the type, message and line of the error it raised."""
+    try:
+        return decode(text)
+    except (FormatError, ParameterError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+class TestDecoderDifferential:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_agrees_with_per_line_json_loads(self, name):
+        text = MALFORMED[name]
+        want = decode_outcome(reference_loads_run_jsonl, text)
+        assert decode_outcome(loads_run_jsonl, text) == want
+
+    def test_bom_is_named(self):
+        with pytest.raises(FormatError, match="line 2: invalid JSON \\(Unexpected UTF-8 BOM"):
+            loads_run_jsonl(MALFORMED["BOM before an event"])
+
+    def test_integer_past_digit_limit_is_format_error(self):
+        # json.loads raises a plain ValueError here, which the reference lets out
+        text = HEADER + '{"op": "W", "proc": 1, "loc": 1, "data": ' + "1" * 5000 + "}\n"
+        with pytest.raises(ValueError) as ref:
+            reference_loads_run_jsonl(text)
+        assert not isinstance(ref.value, FormatError)
+        with pytest.raises(FormatError, match="line 2: invalid JSON"):
+            loads_run_jsonl(text)
+
+    @given(jsonl_texts())
+    def test_fuzzed_text_agrees_with_reference(self, text):
+        # only FormatError or ParameterError may escape, and exactly when
+        # the reference raises the same one
+        assert decode_outcome(loads_run_jsonl, text) == decode_outcome(
+            reference_loads_run_jsonl, text
+        )
+
+    @given(st.text())
+    def test_arbitrary_text_agrees_with_reference(self, text):
+        assert decode_outcome(loads_run_jsonl, text) == decode_outcome(
+            reference_loads_run_jsonl, text
+        )
+
+    @given(unambiguous_causal_traces())
+    def test_projection_equals_checked_trace(self, trace):
+        # project_trace skips the range check that the run already made
+        projected = project_trace(loads_run_jsonl(dumps_jsonl(trace)))
+        assert projected == Trace(projected.events, projected.params) == trace
