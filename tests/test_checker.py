@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -30,6 +31,7 @@ from scmc.checker import COUNTEREXAMPLE, INCONCLUSIVE, NO_VIOLATION
 from scmc.errors import DataIndependenceError
 from scmc.events import READ
 from scmc.protocol import PiranhaProtocol
+from scmc.witness import ConstraintGraph
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
 from reference_checker import initial_monitors, monitor_step, reference_check
 from scmc.monitors import ERR
@@ -445,6 +447,20 @@ class TestExtractCycle:
         assert cycle.vertices == (1, 2, 3, 4)
         assert cycle.procs == (1, 2) and cycle.locs == (2, 1)
         assert cycle.canonical
+
+    def test_builds_no_lazy_index(self, monkeypatch):
+        # verifying a cycle only queries edge labels
+        graphs = []
+
+        def build(trace):
+            graphs.append(build_constraint_graph(trace))
+            return graphs[-1]
+
+        monkeypatch.setattr(checker, "build_constraint_graph", build)
+        p = make_protocol("piranha-buggy", 2, 2, 3)
+        extract_cycle(p, RUN12, p.initial_state((1, 1)), 2)
+        (graph,) = graphs
+        assert set(vars(graph)) == {f.name for f in dataclasses.fields(ConstraintGraph)}
 
     def test_k1_requires_acceptance(self):
         # the location-2 constraint at k=1 blocks the nonzero write

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -50,17 +51,24 @@ ACKS = lambda i, j: InternalEvent("ACKS", (i, j))
 UPD = lambda i: InternalEvent("UPD", (i,))
 
 
-def run_module(*args: str, stdout=subprocess.PIPE, env=None) -> subprocess.CompletedProcess:
+def run_module(
+    *args: str, stdout=subprocess.PIPE, env=None, max_memory=None
+) -> subprocess.CompletedProcess:
     """`python -m scmc *args` in a child that imports the scmc under test;
-    `env` adds to or overrides the child's environment."""
+    `env` adds to or overrides the child's environment, and `max_memory`
+    caps its address space in bytes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limit = None
+    if max_memory is not None:
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
     return subprocess.run(
         [sys.executable, "-m", "scmc", *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        preexec_fn=limit,
     )
 
 
@@ -156,6 +164,12 @@ class TestCheck:
         assert capsys.readouterr().out == ""
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["result"] == "no_violation"
+
+    def test_too_many_locations_exits_usage(self):
+        # packed states keep a location in one byte
+        proc = run_module("check", "--n", "1", "--m", "300", "--k", "1", "--queue-bound", "1")
+        assert proc.returncode == EXIT_USAGE
+        assert "m must be at most 255" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unwritable_emit_run(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.jsonl"
@@ -412,6 +426,16 @@ class TestReplay:
         assert main(["replay", path, "--owners", "1"]) == EXIT_USAGE
         assert main(["replay", path, "--owners", "a,b"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_too_many_locations_exits_usage(self, tmp_path):
+        # the protocol refuses m before it builds its per-location tables,
+        # which would take gigabytes at this m; the cap makes a regression
+        # fail with MemoryError instead
+        run = Run((W(1, 1, 1),), Params(1, 10_000_000, 1))
+        path = write_jsonl(tmp_path, "wide.jsonl", run)
+        proc = run_module("replay", path, max_memory=1 << 30)
+        assert proc.returncode == EXIT_USAGE
+        assert "m must be at most 255" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestValidateAssumptions:

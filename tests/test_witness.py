@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,19 @@ from scmc import (
     permute_procs,
     verify_nice_cycle,
 )
+from scmc import witness
+from scmc.analysis import is_causal, is_unambiguous
 from scmc.errors import ParameterError
 from scmc.events import loc_indices, proc_indices
 from scmc.witness import ConstraintGraph
 from corpus import store_buffer_tail
 from reference_witness import NaiveGraph, is_cycle_of
-from strategies import analyzable_traces, permutations_of, unambiguous_causal_traces
+from strategies import (
+    analyzable_traces,
+    arbitrary_traces,
+    permutations_of,
+    unambiguous_causal_traces,
+)
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -149,6 +157,23 @@ class TestConstraintGraph:
         with pytest.raises(PreconditionError):
             build_constraint_graph(Trace((W(1, 1, 1), W(2, 1, 1)), Params(2, 1, 1)))
 
+    @settings(max_examples=300)
+    @given(arbitrary_traces())
+    def test_preconditions_match_the_analysis_checks(self, trace):
+        # the build checks both in its ranking pass, ambiguity first
+        unambiguous = is_unambiguous(trace)
+        try:
+            build_constraint_graph(trace)
+        except PreconditionError as exc:
+            assert not (unambiguous and is_causal(trace))
+            assert str(exc) == (
+                "trace is ambiguous (repeated or zero write values)"
+                if not unambiguous
+                else "trace is not causal (read without a matching write)"
+            )
+        else:
+            assert unambiguous and is_causal(trace)
+
 
 class TestFindCycle:
     def test_example_acyclic(self):
@@ -194,6 +219,24 @@ class TestLinearWork:
         assert find_cycle(graph) is not None
         assert find_minimal_nice_cycle(graph) is not None
         assert sorted(fetched) == list(range(1, len(trace) + 1))
+
+    def test_acyclic_graph_skips_nice_cycle_search(self, long_walk, monkeypatch):
+        fetched = Counter()
+        original = ConstraintGraph.successors
+
+        def successors(graph, u):
+            fetched[u] += 1
+            return original(graph, u)
+
+        def find_nice_cycle(*args, **kwargs):
+            pytest.fail("nice-cycle search ran on an acyclic graph")
+
+        monkeypatch.setattr(ConstraintGraph, "successors", successors)
+        monkeypatch.setattr(witness, "find_nice_cycle", find_nice_cycle)
+        graph = build_constraint_graph(long_walk)
+        assert find_minimal_nice_cycle(graph) is None
+        assert find_cycle(graph) is None
+        assert fetched == Counter(range(1, len(long_walk) + 1))
 
     def test_nice_cycle_search_stays_in_the_cycle(self, long_walk, monkeypatch):
         size = len(long_walk)
