@@ -29,10 +29,9 @@ def show(args) -> int:
     if verdict.result != "counterexample":
         return 0 if verdict.result == "no_violation" else 2
 
-    constrains = [ConstrainAutomaton(j, args.k) for j in range(1, args.m + 1)]
-    checks = [CheckAutomaton(i, args.k) for i in range(1, args.k + 1)]
-    cons = [a.initial() for a in constrains]
-    chk = [a.initial() for a in checks]
+    automata = [ConstrainAutomaton(j, args.k) for j in range(1, args.m + 1)]
+    automata += [CheckAutomaton(i, args.k) for i in range(1, args.k + 1)]
+    phases = [a.initial() for a in automata]
 
     print(f"\ninitial owners: {verdict.initial_state.owner}")
     print(f"run ({len(verdict.run)} events):")
@@ -41,9 +40,7 @@ def show(args) -> int:
     print(f"  {'event':<14} " + " ".join(f"{l:<13}" for l in labels))
     for e in verdict.run.events:
         if isinstance(e, MemoryEvent):
-            cons = [a.step(s, e) for a, s in zip(constrains, cons)]
-            chk = [a.step(s, e) for a, s in zip(checks, chk)]
-        phases = [s.phase for s in cons] + [s.phase for s in chk]
+            phases = [a.step(p, e) for a, p in zip(automata, phases)]
         print(f"  {format_event(e):<14} " + " ".join(f"{p:<13}" for p in phases))
 
     print("\nfresh-value trace of the run:")

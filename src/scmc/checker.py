@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import islice, permutations, product
 from typing import NamedTuple, Optional
 
-from . import monitors
 from .errors import ParameterError, PreconditionError, ReplayError, SoundnessError
 from .events import (
     READ,
@@ -29,7 +28,7 @@ from .events import (
     event_to_json,
     project_trace,
 )
-from .monitors import CheckAutomaton, ConstrainAutomaton, accepts, check_initial, check_step
+from .monitors import ERR, CheckAutomaton, ConstrainAutomaton, accepts
 from .protocol import MemorySystem, _Memo, replay, replay_unambiguous, permute_run
 from .witness import NiceCycle, build_constraint_graph, verify_nice_cycle
 
@@ -91,25 +90,18 @@ def extract_cycle(
     for j in range(1, protocol.m + 1):
         if not accepts(proj, ConstrainAutomaton(j, k)):
             raise PreconditionError(f"run rejected by the location-{j} constraint")
+    vertices: list[int] = []
     for i in range(1, k + 1):
-        if not accepts(proj, CheckAutomaton(i, k)):
+        check = CheckAutomaton(i, k)
+        if not accepts(proj, check):
             raise PreconditionError(f"run not accepted by the processor-{i} check")
-    first_b: list[Optional[int]] = [None] * k
-    first_err: list[Optional[int]] = [None] * k
-    states = [check_initial(i, k) for i in range(1, k + 1)]
-    for idx, e in enumerate(proj.events, 1):
-        for ci in range(k):
-            nxt = check_step(states[ci], e)
-            if nxt.phase != states[ci].phase:
-                if nxt.phase == monitors.B:
-                    first_b[ci] = idx
-                else:
-                    first_err[ci] = idx
-            states[ci] = nxt
+        phase = check.initial()
+        for idx, e in enumerate(proj.events, 1):
+            phase2 = check.step(phase, e)
+            if phase2 != phase:  # a -> b at u_x, then b -> err at v_x
+                vertices.append(idx)
+            phase = phase2
     trace = replay_unambiguous(protocol, run, initial_state)
-    vertices = []
-    for ci in range(k):
-        vertices.extend((first_b[ci], first_err[ci]))
     cycle = NiceCycle(
         vertices=tuple(vertices),
         procs=tuple(range(1, k + 1)),
@@ -266,15 +258,16 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     # A product key is one int, pid * size + mid.  pid numbers the packed
     # protocol states in the order the search first meets them, and
     # `packed` keeps the bytes of each, rebuilt by decode_state on demand.
-    # mid indexes `vectors`, the monitors' own states: one constraint per
-    # location, then one check per processor 1..k.  Each event has a table
-    # from mid to the mid after the event (None: a constraint blocks it).
+    # mid indexes `vectors`, the tuples of monitor phases: one constraint
+    # per location, then one check per processor 1..k.  Each event has a
+    # table from mid to the mid after the event (None: a constraint blocks
+    # it).
     # Keys stay below (number of pids) * size, so the visited bitmap needs
     # about size bits per protocol state.
     m = protocol.m
     automata = [ConstrainAutomaton(j, k) for j in range(1, m + 1)]
     automata += [CheckAutomaton(i, k) for i in range(1, k + 1)]
-    vectors = list(product(*[[a.initial()._replace(phase=p) for p in a.states] for a in automata]))
+    vectors = list(product(*[a.states for a in automata]))
     size = len(vectors)
     mids = {vec: mid for mid, vec in enumerate(vectors)}
     unmoved = list(range(size))
@@ -293,7 +286,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
             return None
         table = []
         for vec in vectors:
-            vec2 = tuple([a.step(s, e) for a, s in zip(automata, vec)])
+            vec2 = tuple([a.step(p, e) for a, p in zip(automata, vec)])
             table.append(None if None in vec2 else mids[vec2])
         return None if table == unmoved else tuple(table)
 
@@ -328,7 +321,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
 
     start = mids[tuple(a.initial() for a in automata)]
     goal = frozenset(
-        mid for mid, vec in enumerate(vectors) if all(s.phase == monitors.ERR for s in vec[m:])
+        mid for mid, vec in enumerate(vectors) if all(p == ERR for p in vec[m:])
     )
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():

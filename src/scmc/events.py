@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import FormatError, ParameterError, RenamingDomainError
 
@@ -267,10 +267,6 @@ def dumps_jsonl(obj: Trace | Run) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_jsonl(obj: Trace | Run, fp: IO[str]) -> None:
-    fp.write(dumps_jsonl(obj))
-
-
 _MEMORY_KEYS = {"op", "proc", "loc", "data"}
 _INTERNAL_KEYS = {"internal", "params"}
 _HEADER_KEYS = {"n", "m", "v"}
@@ -344,7 +340,3 @@ def loads_run_jsonl(text: str) -> Run:
         return Run(tuple(events), header)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
-
-
-def load_run_jsonl(fp: IO[str]) -> Run:
-    return loads_run_jsonl(fp.read())

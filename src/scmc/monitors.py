@@ -9,13 +9,15 @@ Two families over the event alphabet with data domain fixed to {0, 1, 2}:
   processor i at location i with data 1 or 2, and b -> err on a later event
   of processor i at location (i mod k)+1 that reads 0 or writes 1.
 
-A missing constraint transition blocks the event in a product composition;
-blocking never changes monitor state.  The check automata are complete,
-with err absorbing.
+A state is just a phase, A, B or ERR; the location or processor an automaton
+watches and the cycle size k belong to the automaton, not to its states.
+A missing constraint transition (`step` returns None) blocks the event in a
+product composition; blocking never changes monitor state.  The check
+automata are complete, with err absorbing.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Optional
 
 from .errors import ParameterError
 from .events import WRITE, MemoryEvent, Trace
@@ -27,59 +29,6 @@ ERR = "err"
 MONITOR_DATA_DOMAIN = (0, 1, 2)
 
 
-class ConstrainState(NamedTuple):
-    loc: int
-    k: int
-    phase: str
-
-
-class CheckState(NamedTuple):
-    proc: int
-    k: int
-    phase: str
-
-
-def constrain_initial(loc: int, k: int) -> ConstrainState:
-    return ConstrainState(loc, k, A)
-
-
-def check_initial(proc: int, k: int) -> CheckState:
-    return CheckState(proc, k, A)
-
-
-def constrain_step(state: ConstrainState, e: MemoryEvent) -> Optional[ConstrainState]:
-    """Next state, or None when the automaton blocks the event."""
-    j, k, phase = state
-    if not (e.op == WRITE and e.loc == j):
-        return state
-    if j > k:
-        return state if e.data == 0 else None
-    if phase == A:
-        if e.data == 0:
-            return state
-        if e.data == 1:
-            return ConstrainState(j, k, B)
-        return None
-    # phase B: only further writes of 2 to j
-    return state if e.data == 2 else None
-
-
-def check_step(state: CheckState, e: MemoryEvent) -> CheckState:
-    i, k, phase = state
-    if phase == A:
-        if e.proc == i and e.loc == i and e.data in (1, 2):
-            return CheckState(i, k, B)
-        return state
-    if phase == B:
-        succ = i % k + 1
-        if e.proc == i and e.loc == succ and (
-            e.data == 0 or (e.op == WRITE and e.data == 1)
-        ):
-            return CheckState(i, k, ERR)
-        return state
-    return state  # err absorbs
-
-
 class ConstrainAutomaton:
     """Write-order constraint for one location at cycle size k."""
 
@@ -88,23 +37,27 @@ class ConstrainAutomaton:
             raise ParameterError(f"loc and k must be >= 1, got loc={loc} k={k}")
         self.loc = loc
         self.k = k
+        self.states = (A, B) if loc <= k else (A,)
+        # (phase, data) of a write to loc -> next phase; any other write blocks
+        self._writes = {(A, 0): A, (A, 1): B, (B, 2): B} if loc <= k else {(A, 0): A}
 
-    @property
-    def states(self) -> tuple[str, ...]:
-        return (A, B) if self.loc <= self.k else (A,)
+    def initial(self) -> str:
+        return A
 
-    def initial(self) -> ConstrainState:
-        return constrain_initial(self.loc, self.k)
+    def step(self, phase: str, e: MemoryEvent) -> Optional[str]:
+        """Next phase, or None when the automaton blocks the event."""
+        if e.op != WRITE or e.loc != self.loc:
+            return phase
+        return self._writes.get((phase, e.data))
 
-    def step(self, state: ConstrainState, e: MemoryEvent) -> Optional[ConstrainState]:
-        return constrain_step(state, e)
-
-    def accepting(self, state: ConstrainState) -> bool:
+    def accepting(self, phase: str) -> bool:
         return True  # every live state accepts; rejection is by blocking
 
 
 class CheckAutomaton:
     """Violation detector for one processor at cycle size k."""
+
+    states = (A, B, ERR)
 
     def __init__(self, proc: int, k: int):
         if not 1 <= proc <= k:
@@ -112,18 +65,22 @@ class CheckAutomaton:
         self.proc = proc
         self.k = k
 
-    @property
-    def states(self) -> tuple[str, ...]:
-        return (A, B, ERR)
+    def initial(self) -> str:
+        return A
 
-    def initial(self) -> Union[ConstrainState, CheckState]:
-        return check_initial(self.proc, self.k)
+    def step(self, phase: str, e: MemoryEvent) -> str:
+        if e.proc != self.proc:
+            return phase
+        if phase == A and e.loc == self.proc and e.data in (1, 2):
+            return B
+        if phase == B and e.loc == self.proc % self.k + 1 and (
+            e.data == 0 or (e.op == WRITE and e.data == 1)
+        ):
+            return ERR
+        return phase  # err absorbs
 
-    def step(self, state: CheckState, e: MemoryEvent) -> CheckState:
-        return check_step(state, e)
-
-    def accepting(self, state: CheckState) -> bool:
-        return state.phase == ERR
+    def accepting(self, phase: str) -> bool:
+        return phase == ERR
 
 
 def accepts(trace: Trace, automaton) -> bool:
@@ -131,9 +88,9 @@ def accepts(trace: Trace, automaton) -> bool:
     for e in trace.events:
         if e.data not in MONITOR_DATA_DOMAIN:
             raise ParameterError(f"monitors need data in {MONITOR_DATA_DOMAIN}, got {e!r}")
-    state = automaton.initial()
+    phase = automaton.initial()
     for e in trace.events:
-        state = automaton.step(state, e)
-        if state is None:
+        phase = automaton.step(phase, e)
+        if phase is None:
             return False
-    return automaton.accepting(state)
+    return automaton.accepting(phase)

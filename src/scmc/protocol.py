@@ -545,59 +545,49 @@ def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace
     location.  The result is an unambiguous trace whose renaming back to the
     original data values reproduces the run's memory projection; divergence
     between the two executions means the protocol is not data independent.
+    The run is replayed first, so a run that does not replay raises
+    ReplayError before the shadow pass starts.
     """
-    _check_compatible(protocol, run.params)
-    real = initial_state
+    replay(protocol, run, initial_state)
     shadow = initial_state
     next_tag: dict[int, int] = {}
     renamed: dict[tuple[int, int], int] = {}
     out: list[MemoryEvent] = []
     for idx, e in enumerate(run.events, 1):
-        if isinstance(e, MemoryEvent):
-            try:
-                real = protocol.step(real, e)
-            except DisabledEventError as exc:
-                raise ReplayError(idx, str(exc)) from None
-            if e.op == WRITE:
-                tag = next_tag.get(e.loc, 1)
-                next_tag[e.loc] = tag + 1
-                sh = MemoryEvent(WRITE, e.proc, e.loc, tag)
-                renamed[(e.loc, tag)] = e.data
-            else:
-                cands = [
-                    se
-                    for se in protocol.enabled(shadow)
-                    if isinstance(se, MemoryEvent)
-                    and se.op == READ
-                    and se.proc == e.proc
-                    and se.loc == e.loc
-                ]
-                if len(cands) != 1:
-                    raise DataIndependenceError(
-                        f"event {idx}: shadow state enables {len(cands)} reads at "
-                        f"(proc={e.proc}, loc={e.loc}), expected exactly one"
-                    )
-                sh = cands[0]
-                expected = 0 if sh.data == 0 else renamed.get((e.loc, sh.data))
-                if expected != e.data:
-                    raise DataIndependenceError(
-                        f"event {idx}: shadow read value {sh.data} renames to "
-                        f"{expected}, run read {e.data}"
-                    )
-            try:
-                shadow = protocol.step(shadow, sh)
-            except DisabledEventError as exc:
-                raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
+        if not isinstance(e, MemoryEvent):
+            sh = e
+        elif e.op == WRITE:
+            tag = next_tag.get(e.loc, 1)
+            next_tag[e.loc] = tag + 1
+            sh = MemoryEvent(WRITE, e.proc, e.loc, tag)
+            renamed[(e.loc, tag)] = e.data
             out.append(sh)
         else:
-            try:
-                real = protocol.step(real, e)
-            except DisabledEventError as exc:
-                raise ReplayError(idx, str(exc)) from None
-            try:
-                shadow = protocol.step(shadow, e)
-            except DisabledEventError as exc:
-                raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
+            cands = [
+                se
+                for se in protocol.enabled(shadow)
+                if isinstance(se, MemoryEvent)
+                and se.op == READ
+                and se.proc == e.proc
+                and se.loc == e.loc
+            ]
+            if len(cands) != 1:
+                raise DataIndependenceError(
+                    f"event {idx}: shadow state enables {len(cands)} reads at "
+                    f"(proc={e.proc}, loc={e.loc}), expected exactly one"
+                )
+            sh = cands[0]
+            expected = 0 if sh.data == 0 else renamed.get((e.loc, sh.data))
+            if expected != e.data:
+                raise DataIndependenceError(
+                    f"event {idx}: shadow read value {sh.data} renames to "
+                    f"{expected}, run read {e.data}"
+                )
+            out.append(sh)
+        try:
+            shadow = protocol.step(shadow, sh)
+        except DisabledEventError as exc:
+            raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
     v = max([1] + [tag - 1 for tag in next_tag.values()])
     return Trace(tuple(out), Params(protocol.n, protocol.m, v))
 

@@ -349,9 +349,7 @@ def verify_nice_cycle(graph: ConstraintGraph, cycle: NiceCycle) -> bool:
     return True
 
 
-def find_nice_cycle(
-    graph: ConstraintGraph, k: int, canonical_only: bool = False
-) -> Optional[NiceCycle]:
+def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
     """Search for a k-nice cycle; deterministic, least vertex tuple first.
 
     Backtracks over the pairs (u_1, v_1), ..., (u_k, v_k) in lexicographic
@@ -384,15 +382,13 @@ def find_nice_cycle(
     def extend(x: int, candidates: Iterable[int]) -> Optional[NiceCycle]:
         for u in candidates:
             proc = events[u - 1].proc
-            if proc in procs or (canonical_only and proc != x):
+            if proc in procs:
                 continue
             first = verts[0] if verts else u
             comp = component[first]
             if component[u] != comp:
                 continue
             home = events[first - 1].loc
-            if canonical_only and home != 1:
-                continue
             if x == k:
                 column = graph._proc_loc_members.get((proc, home), ())
                 for v in column[bisect_right(column, u) :]:
@@ -409,7 +405,7 @@ def find_nice_cycle(
             procs.append(proc)
             for v in graph._later_on_proc(u):
                 loc = events[v - 1].loc
-                if loc == home or loc in locs or (canonical_only and loc != x + 1):
+                if loc == home or loc in locs:
                     continue
                 if component[v] != comp:
                     continue

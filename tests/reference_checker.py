@@ -1,9 +1,9 @@
 """A deliberately naive monitor-product search, for differential tests.
 
-It keeps protocol states as objects and monitor states as the automata's
-own states, steps them with monitors.constrain_step and check_step on every
-event, and runs a plain breadth-first search with a parent map: no packed
-keys, tables, interning or caches.  It follows model_check's conventions:
+It keeps protocol states as objects and monitor states as tuples of phases,
+steps them with each automaton's own `step` on every event, and runs a
+plain breadth-first search with a parent map: no packed keys, tables,
+interning or caches.  It follows model_check's conventions:
 roots are the distinct initial states in order, every unblocked product
 edge is a transition, the search stops at the first newly reached state
 where every check is in err, and max_depth is that state's depth, or else
@@ -13,31 +13,36 @@ soon as more than max_states states are reached, after the goal test.
 from collections import deque
 
 from scmc.events import MemoryEvent
-from scmc.monitors import ERR, check_initial, check_step, constrain_initial, constrain_step
+from scmc.monitors import ERR, CheckAutomaton, ConstrainAutomaton
 
 
-def monitor_step(monitors, e):
-    """The monitor states after e, or None where a constraint blocks it."""
+def automata(protocol, k):
+    """The constrain automata of every location and the checks 1..k."""
+    return (
+        tuple(ConstrainAutomaton(j, k) for j in range(1, protocol.m + 1)),
+        tuple(CheckAutomaton(i, k) for i in range(1, k + 1)),
+    )
+
+
+def monitor_step(monitors, phases, e):
+    """The phases after e, or None where a constraint blocks it."""
     if not isinstance(e, MemoryEvent):
-        return monitors
-    constraints, checks = monitors
-    constraints = tuple(constrain_step(c, e) for c in constraints)
+        return phases
+    constraints = tuple(a.step(p, e) for a, p in zip(monitors[0], phases[0]))
     if None in constraints:
         return None
-    return constraints, tuple(check_step(c, e) for c in checks)
+    return constraints, tuple(a.step(p, e) for a, p in zip(monitors[1], phases[1]))
 
 
-def initial_monitors(protocol, k):
-    """The constrain automata of every location and the checks 1..k, initial."""
-    return (
-        tuple(constrain_initial(j, k) for j in range(1, protocol.m + 1)),
-        tuple(check_initial(i, k) for i in range(1, k + 1)),
-    )
+def initial_monitors(monitors):
+    """The initial phases of the constraints and of the checks."""
+    return tuple(tuple(a.initial() for a in family) for family in monitors)
 
 
 def reference_check(protocol, k, max_states=None):
     """(result, states, transitions, max_depth, run events or None)."""
-    start = initial_monitors(protocol, k)
+    monitors = automata(protocol, k)
+    start = initial_monitors(monitors)
     parents = {}
     frontier = deque()
     for s in protocol.initial_states():
@@ -48,17 +53,17 @@ def reference_check(protocol, k, max_states=None):
     while frontier:
         node, depth = frontier.popleft()
         max_depth = max(max_depth, depth)
-        s, monitors = node
+        s, phases = node
         for e, s2 in protocol.successors(s):
-            monitors2 = monitor_step(monitors, e)
-            if monitors2 is None:
+            phases2 = monitor_step(monitors, phases, e)
+            if phases2 is None:
                 continue
             transitions += 1
-            node2 = (s2, monitors2)
+            node2 = (s2, phases2)
             if node2 in parents:
                 continue
             parents[node2] = (node, e)
-            if all(c.phase == ERR for c in monitors2[1]):
+            if all(p == ERR for p in phases2[1]):
                 run = []
                 while parents[node2] is not None:
                     node2, e = parents[node2]

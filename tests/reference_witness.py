@@ -73,35 +73,32 @@ class NaiveGraph:
             reach.update((u, v) for u in into for v in out)
         return reach
 
-    def find_nice_cycle(self, k, canonical_only=False):
+    def find_nice_cycle(self, k):
         """The least vertex tuple u1, v1, ..., uk, vk forming a k-nice cycle."""
         size = len(self.trace)
 
         def extend(verts, procs, locs):
             if len(procs) == k:
                 label = self.loc_edge_label(verts[-1], verts[0])
-                if label is None or label in locs or (canonical_only and label != 1):
+                if label is None or label in locs:
                     return None
                 all_locs = locs + (label,)
                 canonical = procs == tuple(range(1, k + 1)) and all_locs == tuple(
                     x % k + 1 for x in range(1, k + 1)
                 )
                 return NiceCycle(tuple(verts), procs, all_locs, canonical)
-            x = len(procs) + 1
             for u in range(1, size + 1):
                 if u in verts:
                     continue
                 new_locs = locs
                 if verts:
                     label = self.loc_edge_label(verts[-1], u)
-                    if label is None or label in locs or (canonical_only and label != x):
+                    if label is None or label in locs:
                         continue
                     new_locs = locs + (label,)
                 for v in range(1, size + 1):
                     proc = self.proc_edge_label(u, v)
                     if v in verts or proc is None or proc in procs:
-                        continue
-                    if canonical_only and proc != x:
                         continue
                     found = extend(verts + [u, v], procs + (proc,), new_locs)
                     if found is not None:

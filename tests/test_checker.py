@@ -33,7 +33,7 @@ from scmc.events import READ
 from scmc.protocol import PiranhaProtocol
 from scmc.witness import ConstraintGraph
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
-from reference_checker import initial_monitors, monitor_step, reference_check
+from reference_checker import automata, initial_monitors, monitor_step, reference_check
 from scmc.monitors import ERR
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
@@ -173,23 +173,24 @@ def depth_first_check(protocol, k, max_states=None):
     max_states states are reached; otherwise depth is the largest depth
     expanded.  A state's depth is the depth at which it was first reached.
     """
-    start = initial_monitors(protocol, k)
+    monitors = automata(protocol, k)
+    start = initial_monitors(monitors)
     seen = dict.fromkeys((s, start) for s in protocol.initial_states())
     stack = [(node, 0) for node in seen]
     transitions = max_depth = 0
     while stack:
-        (s, monitors), depth = stack.pop()
+        (s, phases), depth = stack.pop()
         max_depth = max(max_depth, depth)
         for e, s2 in protocol.successors(s):
-            monitors2 = monitor_step(monitors, e)
-            if monitors2 is None:
+            phases2 = monitor_step(monitors, phases, e)
+            if phases2 is None:
                 continue
             transitions += 1
-            node2 = (s2, monitors2)
+            node2 = (s2, phases2)
             if node2 in seen:
                 continue
             seen[node2] = None
-            if all(c.phase == ERR for c in monitors2[1]):
+            if all(p == ERR for p in phases2[1]):
                 return COUNTEREXAMPLE, len(seen), transitions, depth + 1
             if max_states is not None and len(seen) > max_states:
                 return INCONCLUSIVE, len(seen), transitions, max_depth

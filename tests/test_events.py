@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -17,7 +16,6 @@ from scmc import (
     Trace,
     dumps_jsonl,
     identity_renaming,
-    load_run_jsonl,
     loads_run_jsonl,
     permute_locs,
     permute_procs,
@@ -206,10 +204,6 @@ class TestJsonLines:
         text = dumps_jsonl(EXAMPLE_TRACE)
         back = loads_run_jsonl(text)
         assert project_trace(back).events == EXAMPLE_TRACE.events
-
-    def test_load_from_file_object(self):
-        fp = io.StringIO(dumps_jsonl(EXAMPLE_RUN))
-        assert load_run_jsonl(fp) == EXAMPLE_RUN
 
     def test_blank_lines_skipped(self):
         text = '{"n": 1, "m": 1, "v": 1}\n\n{"op": "W", "proc": 1, "loc": 1, "data": 1}\n\n'

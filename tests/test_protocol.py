@@ -260,6 +260,26 @@ class TestUnambiguousReplay:
         with pytest.raises(ReplayError):
             replay_unambiguous(p, RUN12, p.initial_state((1, 1)))
 
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    def test_replay_error_index_matches_replay(self, name):
+        # a seeded walk with a read that is disabled where it stands spliced
+        # into its middle: both replays name that read's index
+        p = make_protocol(name, 2, 2)
+        init = p.initial_state((1, 1))
+        rng = random.Random(5)
+        state, walk = init, []
+        for _ in range(10):
+            e, state = rng.choice(p.successors(state))
+            walk.append(e)
+        state = replay(p, Run(tuple(walk[:5]), Params(2, 2, 2)), init)
+        bad = next(e for e in (R(1, 1, 0), R(1, 1, 1)) if e not in p.enabled(state))
+        run = Run((*walk[:5], bad, *walk[5:]), Params(2, 2, 2))
+        with pytest.raises(ReplayError) as direct:
+            replay(p, run, init)
+        with pytest.raises(ReplayError) as shadowed:
+            replay_unambiguous(p, run, init)
+        assert direct.value.index == shadowed.value.index == 6
+
 
 class TestStateEncoding:
     def test_injective_on_sampled_reachable_states(self):

@@ -281,10 +281,7 @@ class TestAgainstReference:
     def test_cycle_searches(self, trace):
         g, ref = build_constraint_graph(trace), NaiveGraph(trace)
         for k in range(1, min(trace.params.n, trace.params.m) + 1):
-            for canonical_only in (False, True):
-                assert find_nice_cycle(g, k, canonical_only) == ref.find_nice_cycle(
-                    k, canonical_only
-                )
+            assert find_nice_cycle(g, k) == ref.find_nice_cycle(k)
         assert find_minimal_nice_cycle(g) == ref.find_minimal_nice_cycle()
         assert (find_cycle(g) is not None) == ref.has_cycle()
 
@@ -305,7 +302,7 @@ class TestAgainstReference:
 class TestNiceCycle:
     def test_violation_trace_canonical(self):
         g = build_constraint_graph(VIOLATION)
-        nc = find_nice_cycle(g, 2, canonical_only=True)
+        nc = find_nice_cycle(g, 2)
         assert nc == NiceCycle((1, 2, 3, 4), (1, 2), (2, 1), True)
         assert verify_nice_cycle(g, nc)
 
@@ -364,10 +361,6 @@ class TestNiceCycle:
             if nc is not None:
                 assert verify_nice_cycle(g, nc)
                 assert nc.k == k
-            nc_c = find_nice_cycle(g, k, canonical_only=True)
-            if nc_c is not None:
-                assert nc_c.canonical
-                assert verify_nice_cycle(g, nc_c)
 
     @given(unambiguous_causal_traces())
     def test_cycle_iff_nice_cycle(self, trace):
