@@ -106,7 +106,6 @@ def extract_cycle(
         vertices=tuple(vertices),
         procs=tuple(range(1, k + 1)),
         locs=tuple(x % k + 1 for x in range(1, k + 1)),
-        canonical=True,
     )
     graph = build_constraint_graph(trace)
     if not verify_nice_cycle(graph, cycle):
@@ -255,9 +254,9 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     if max_states < 1:
         raise ParameterError(f"max_states must be >= 1, got {max_states}")
 
-    # A product key is one int, pid * size + mid.  pid numbers the packed
-    # protocol states in the order the search first meets them, and
-    # `packed` keeps the bytes of each, rebuilt by decode_state on demand.
+    # A product key is one int, pid * size + mid.  pid numbers the protocol
+    # state keys in the order the search first meets them, and `state_keys`
+    # keeps each, turned back into a state by decode_state on demand.
     # mid indexes `vectors`, the tuples of monitor phases: one constraint
     # per location, then one check per processor 1..k.  Each event has a
     # table from mid to the mid after the event (None: a constraint blocks
@@ -271,15 +270,15 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     size = len(vectors)
     mids = {vec: mid for mid, vec in enumerate(vectors)}
     unmoved = list(range(size))
-    packed: list[bytes] = []
+    state_keys: list = []
     succ_cache: dict[int, tuple] = {}  # pid * size -> (edge, base2, edge, base2, ...)
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
 
-    def number(x: bytes) -> int:
-        packed.append(x)
-        return (len(packed) - 1) * size
+    def number(x) -> int:
+        state_keys.append(x)
+        return (len(state_keys) - 1) * size
 
-    bases = _Memo(number)  # packed protocol state -> pid * size, one int object per pid
+    bases = _Memo(number)  # protocol state key -> pid * size, one int object per pid
 
     def monitor_table(e: Event) -> Optional[tuple]:
         if type(e) is not MemoryEvent:
@@ -296,7 +295,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     def successors_of(base: int) -> tuple:
         if len(succ_cache) >= _SUCC_CACHE_MAX:
             succ_cache.clear()
-        x = packed[base // size]
+        x = state_keys[base // size]
         # flat, two entries per edge, and keyed by the memo's own int, so
         # the cache holds no object of its own but one tuple per protocol state
         succ = succ_cache[bases[x]] = tuple(
@@ -350,10 +349,10 @@ def check_all_k(protocol: MemorySystem, max_states: int = DEFAULT_MAX_STATES) ->
 @_gc_paused
 def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -> tuple[int, int]:
     """Reachable (states, transitions) of the bare protocol, no monitors."""
-    packed, ids = _numbering()  # id <-> packed protocol state
+    state_keys, ids = _numbering()  # id <-> protocol state key
 
     def expand(i: int):
-        for e, ps2 in protocol.successors(protocol.decode_state(packed[i])):
+        for e, ps2 in protocol.successors(protocol.decode_state(state_keys[i])):
             yield e, ids[protocol.encode_state(ps2)]
 
     roots = [ids[protocol.encode_state(ps)] for ps in protocol.initial_states()]
@@ -366,7 +365,11 @@ def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -
 @dataclass(frozen=True)
 class CausalityViolation:
     run: Run
-    index: int
+
+    @property
+    def index(self) -> int:
+        """The 1-based position of the acausal read, the run's last event."""
+        return len(self.run)
 
     def to_json(self) -> dict:
         return {
@@ -444,7 +447,7 @@ def validate_assumptions(
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     empty_written = (frozenset(),) * protocol.m
-    by_id, ids = _numbering()  # id <-> (packed state, written)
+    by_id, ids = _numbering()  # id <-> (state key, written)
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():
         roots.setdefault(ids[(protocol.encode_state(ps), empty_written)], ps)
@@ -477,7 +480,7 @@ def validate_assumptions(
     causality = []
     for i, e in acausal:
         run, _root = run_to(i, e)
-        causality.append(CausalityViolation(run, len(run)))
+        causality.append(CausalityViolation(run))
 
     nodes = len(found.keys)
     sampled = range(nodes)[:: max(1, nodes // _RUN_SAMPLES)][:_RUN_SAMPLES]

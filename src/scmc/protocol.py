@@ -64,61 +64,16 @@ class PiranhaState(NamedTuple):
     inq: tuple[tuple[Msg, ...], ...]
 
 
-# tuples nest at most this deep in a state key; no system comes close, and
-# the limit keeps encoding and decoding within the interpreter's stack
-_MAX_NESTING = 64
-
-
-def _flatten(obj, out: bytearray, depth: int = 0) -> None:
-    if obj is None:
-        out.append(251)
-    elif isinstance(obj, int):
-        if 0 <= obj < 240:
-            out.append(obj)
-        else:
-            out.append(252)
-            out.extend(obj.to_bytes(8, "little", signed=True))
-    elif isinstance(obj, tuple):
-        if depth == _MAX_NESTING:
-            raise ParameterError(f"cannot encode tuples nested deeper than {_MAX_NESTING}")
-        out.append(253)
-        _flatten(len(obj), out)
-        for item in obj:
-            _flatten(item, out, depth + 1)
-    else:
-        raise ParameterError(f"cannot encode {obj!r}")
-
-
-def _unflatten(key: bytes, pos: int, depth: int = 0):
-    """The object _flatten wrote at key[pos], and the position after it."""
-    tag = key[pos]
-    if tag < 240:
-        return tag, pos + 1
-    if tag == 251:
-        return None, pos + 1
-    if tag == 252 and pos + 9 <= len(key):
-        return int.from_bytes(key[pos + 1 : pos + 9], "little", signed=True), pos + 9
-    if tag == 253 and depth < _MAX_NESTING:
-        length, pos = _unflatten(key, pos + 1, depth + 1)
-        if isinstance(length, int) and length >= 0:
-            items = []
-            for _ in range(length):
-                item, pos = _unflatten(key, pos, depth + 1)
-                items.append(item)
-            return tuple(items), pos
-    raise ParameterError("malformed state key")
-
-
 class MemorySystem(ABC):
     """A finite transition system over the shared event alphabet.
 
-    `successors` is the transition relation; `enabled` and `step` are
-    derived from it, and a system may override `step` with a direct guard
-    check.  Searches keep states as the bytes of encode_state and rebuild
-    them with decode_state, so the two must be inverse:
-    decode_state(encode_state(s)) equals s.  The base-class pair packs
-    states that are nested tuples of ints and None; a system with other
-    states overrides both.
+    A system gives its initial states and `successors`, the transition
+    relation; `enabled` and `step` derive from it, and a system may
+    override `step` with a direct guard check.  States must be hashable.
+    Searches keep the key encode_state(s) and rebuild s with decode_state,
+    so decode_state(encode_state(s)) must equal s.  The base-class key is
+    the state itself; a system may override both methods to pack its
+    states, as PiranhaProtocol does to save memory.
     """
 
     n: int
@@ -144,21 +99,11 @@ class MemorySystem(ABC):
                 return nxt
         raise DisabledEventError(f"{event!r} is not enabled")
 
-    def encode_state(self, state) -> bytes:
-        """A canonical byte key for visited sets; equal states encode equally."""
-        out = bytearray()
-        _flatten(state, out)
-        return bytes(out)
-
-    def decode_state(self, key: bytes):
-        """The state that encode_state packed into `key`."""
-        try:
-            state, pos = _unflatten(key, 0)
-        except IndexError:
-            raise ParameterError("malformed state key") from None
-        if pos != len(key):
-            raise ParameterError("malformed state key")
+    def encode_state(self, state):
         return state
+
+    def decode_state(self, key):
+        return key
 
     def permute_state(self, state, kind: str, perm: Sequence[int]):
         raise NotImplementedError(f"{type(self).__name__} does not support symmetry")

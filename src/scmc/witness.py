@@ -8,7 +8,7 @@ program order.  Acyclicity of this graph certifies sequential consistency.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError, PreconditionError
@@ -302,16 +302,30 @@ class NiceCycle:
     (u_x, v_x) is a processor edge labelled procs[x-1]; the location edge
     leaving v_x enters u_{x+1} (cyclically) and is labelled locs[x-1].
     Processor labels are pairwise distinct, as are location labels.
+    `canonical` follows from the labels; a flag passed as a fourth argument,
+    as read back from to_json, must agree with them (else ParameterError).
     """
 
     vertices: tuple[int, ...]
     procs: tuple[int, ...]
     locs: tuple[int, ...]
-    canonical: bool
+    claimed_canonical: InitVar[Optional[bool]] = None
+
+    def __post_init__(self, claimed_canonical: Optional[bool]) -> None:
+        if claimed_canonical not in (None, self.canonical):
+            raise ParameterError(f"canonical={claimed_canonical} disagrees with the labels")
 
     @property
     def k(self) -> int:
         return len(self.procs)
+
+    @property
+    def canonical(self) -> bool:
+        """Whether procs are 1, ..., k and locs are 2, ..., k, 1."""
+        k = self.k
+        return self.procs == tuple(range(1, k + 1)) and self.locs == tuple(
+            x % k + 1 for x in range(1, k + 1)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -321,13 +335,6 @@ class NiceCycle:
             "locs": list(self.locs),
             "canonical": self.canonical,
         }
-
-
-def _is_canonical(procs: tuple[int, ...], locs: tuple[int, ...]) -> bool:
-    k = len(procs)
-    return procs == tuple(range(1, k + 1)) and locs == tuple(
-        x % k + 1 for x in range(1, k + 1)
-    )
 
 
 def verify_nice_cycle(graph: ConstraintGraph, cycle: NiceCycle) -> bool:
@@ -344,8 +351,6 @@ def verify_nice_cycle(graph: ConstraintGraph, cycle: NiceCycle) -> bool:
             return False
         if graph.loc_edge_label(v, u_next) != cycle.locs[x - 1]:
             return False
-    if cycle.canonical != _is_canonical(cycle.procs, cycle.locs):
-        return False
     return True
 
 
@@ -393,13 +398,7 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
                 column = graph._proc_loc_members.get((proc, home), ())
                 for v in column[bisect_right(column, u) :]:
                     if level[v] < level[first] and component[v] == comp:
-                        all_procs, all_locs = (*procs, proc), (*locs, home)
-                        return NiceCycle(
-                            (*verts, u, v),
-                            all_procs,
-                            all_locs,
-                            _is_canonical(all_procs, all_locs),
-                        )
+                        return NiceCycle((*verts, u, v), (*procs, proc), (*locs, home))
                 continue
             verts.append(u)
             procs.append(proc)

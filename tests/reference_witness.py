@@ -82,11 +82,7 @@ class NaiveGraph:
                 label = self.loc_edge_label(verts[-1], verts[0])
                 if label is None or label in locs:
                     return None
-                all_locs = locs + (label,)
-                canonical = procs == tuple(range(1, k + 1)) and all_locs == tuple(
-                    x % k + 1 for x in range(1, k + 1)
-                )
-                return NiceCycle(tuple(verts), procs, all_locs, canonical)
+                return NiceCycle(tuple(verts), procs, locs + (label,))
             for u in range(1, size + 1):
                 if u in verts:
                     continue

@@ -120,7 +120,7 @@ class TestModelCheck:
         ],
     )
     def test_generic_state_encoding(self, n, m, k, counts, order):
-        # the fixture has plain tuple states, packed by the base-class encoding
+        # the fixture has plain tuple states, which the search keys on directly
         p = PrivilegedWriterProtocol(n, m)
         v = model_check(p, k)
         assert v.result == NO_VIOLATION
@@ -535,7 +535,10 @@ class TestValidateAssumptions:
         report = validate_assumptions(fixture, depth=3)
         assert (report.nodes, report.edges) == (1, 2)
         assert len(report.causality_violations) == 1
-        assert report.causality_violations[0].run.events == (R(1, 1, 1),)
+        violation = report.causality_violations[0]
+        assert violation.run.events == (R(1, 1, 1),)
+        assert violation.index == 1
+        assert violation.to_json()["index"] == 1
 
     def test_report_json(self):
         fixture = PrivilegedWriterProtocol()

@@ -303,7 +303,7 @@ class TestNiceCycle:
     def test_violation_trace_canonical(self):
         g = build_constraint_graph(VIOLATION)
         nc = find_nice_cycle(g, 2)
-        assert nc == NiceCycle((1, 2, 3, 4), (1, 2), (2, 1), True)
+        assert nc == NiceCycle((1, 2, 3, 4), (1, 2), (2, 1))
         assert verify_nice_cycle(g, nc)
 
     def test_example_has_none(self):
@@ -334,16 +334,27 @@ class TestNiceCycle:
 
     def test_verify_rejects_wrong_labels(self):
         g = build_constraint_graph(VIOLATION)
-        bad = NiceCycle((1, 2, 3, 4), (1, 2), (1, 2), False)
+        bad = NiceCycle((1, 2, 3, 4), (1, 2), (1, 2))
         assert not verify_nice_cycle(g, bad)
 
     def test_verify_rejects_duplicate_vertices(self):
         g = build_constraint_graph(VIOLATION)
-        bad = NiceCycle((1, 2, 1, 2), (1, 2), (2, 1), False)
+        bad = NiceCycle((1, 2, 1, 2), (1, 2), (2, 1))
         assert not verify_nice_cycle(g, bad)
 
+    def test_canonical_follows_labels(self):
+        assert NiceCycle((1, 2, 3, 4), (1, 2), (2, 1)).canonical
+        assert not NiceCycle((1, 2, 3, 4), (2, 1), (2, 1)).canonical
+        assert not NiceCycle((1, 2, 3, 4), (1, 2), (1, 2)).canonical
+        # a flag read back from to_json is accepted only if the labels agree
+        assert NiceCycle((1, 2, 3, 4), (1, 2), (2, 1), True).canonical
+        with pytest.raises(ParameterError):
+            NiceCycle((1, 2, 3, 4), (1, 2), (2, 1), False)
+        with pytest.raises(ParameterError):
+            NiceCycle((1, 2, 3, 4), (1, 2), (1, 2), True)
+
     def test_to_json(self):
-        nc = NiceCycle((1, 2, 3, 4), (1, 2), (2, 1), True)
+        nc = NiceCycle((1, 2, 3, 4), (1, 2), (2, 1))
         assert nc.to_json() == {
             "k": 2,
             "vertices": [1, 2, 3, 4],
