@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import OracleBoundError, ParameterError, SoundnessError
+from .errors import OracleBoundError, ParameterError
 from .events import READ, WRITE, Trace, proc_indices
 
 ORACLE_BOUND_DEFAULT = 10
@@ -87,6 +87,8 @@ class SerialWitness:
 
 def respects_program_order(trace: Trace, f: tuple[int, ...]) -> bool:
     """True iff f is increasing along every processor's events."""
+    if len(f) != len(trace):
+        raise ParameterError(f"witness on {len(f)} events checked against trace of {len(trace)}")
     for i in range(1, trace.params.n + 1):
         idxs = proc_indices(trace, i)
         for a, b in zip(idxs, idxs[1:]):
@@ -128,26 +130,24 @@ def _exec_step(step: tuple[bool, int, int], mem: tuple[int, ...]) -> Optional[tu
     return mem
 
 
-def _feasible_with_pins(
+def _serialize(
     steps: tuple[tuple[bool, int, int], ...],
     width: int,
     progs: tuple[tuple[int, ...], ...],
-    pins: dict[int, int],
 ) -> Optional[list[int]]:
-    """A valid interleaving placing each event u at position pins[u].
+    """The least valid interleaving as event indices, or None if none exists.
 
-    Returns the event indices in serial order, or None if there is none.
     Depth-first search over states (cursor vector, memory): the cursors
     say how much of each program in `progs` (`_programs(trace)`) has run,
     and the memory has `width` slots, one per location that occurs
     (`_steps(trace)`).  The enabled events are tried in ascending trace
-    index, so an unpinned search of a serial trace walks straight down the
-    trace.  A state with no completion is remembered as dead.  The search
-    keeps its own stack, so trace length is not capped by the recursion
-    limit.  With no pins it decides sequential consistency.
+    index, so the first interleaving completed is the lexicographically
+    least, and a serial trace is walked straight down.  A state with no
+    completion is remembered as dead, which prunes nothing that could
+    complete.  The search keeps its own stack, so trace length is not
+    capped by the recursion limit.
     """
     total = len(steps)
-    pos_to_event = {p: u for u, p in pins.items()}
     dead: set = set()
     prog_ids = range(len(progs))
     cursors = [0] * len(progs)
@@ -159,15 +159,11 @@ def _feasible_with_pins(
     entered = -1
     while len(path) < total:
         key = (tuple(cursors), mem)
-        want = pos_to_event.get(len(path) + 1)
         if key in dead:
             moves: list = []
-        elif want is None:
-            moves = sorted([(idxs[c], i) for i, idxs, c in zip(prog_ids, progs, cursors)
-                            if c < len(idxs) and idxs[c] not in pins])
         else:
-            moves = [(want, i) for i, idxs, c in zip(prog_ids, progs, cursors)
-                     if c < len(idxs) and idxs[c] == want]
+            moves = sorted([(idxs[c], i) for i, idxs, c in zip(prog_ids, progs, cursors)
+                            if c < len(idxs)])
         stack.append((key, mem, iter(moves), entered))
         while True:
             key, mem, untried, entered = stack[-1]
@@ -191,69 +187,15 @@ def _feasible_with_pins(
     return path
 
 
-def _lex_min_witness(
-    steps: tuple[tuple[bool, int, int], ...],
-    width: int,
-    progs: tuple[tuple[int, ...], ...],
-    order: list[int],
-) -> tuple[int, ...]:
-    """The least f, taken event by event, given one serialization `order`.
-
-    Each event u in index order gets the least position p that some valid
-    interleaving still allows, with every earlier event held at its chosen
-    position.  `order` is kept as an interleaving that meets every
-    position chosen so far, so it is a witness that u's own position in
-    it, pos[u], is feasible: that p is accepted without a search.  Only a
-    smaller p needs one, and a search that succeeds becomes the kept
-    interleaving.  Positions up to that of u's program-order predecessor
-    are skipped, since no interleaving allows them.  The result is the
-    same f as searching every candidate p.
-    """
-    total = len(steps)
-    pred = [0] * (total + 1)
-    for idxs in progs:
-        for a, b in zip(idxs, idxs[1:]):
-            pred[b] = a
-    pos = _positions(order)
-    pins: dict[int, int] = {}
-    taken: set[int] = set()
-    for u in range(1, total + 1):
-        for p in range(pins[pred[u]] + 1 if pred[u] else 1, pos[u]):
-            if p in taken:
-                continue
-            pins[u] = p
-            found = _feasible_with_pins(steps, width, progs, pins)
-            if found is not None:
-                pos = _positions(found)
-                break
-        if pos[u] in taken:
-            raise SoundnessError(f"the kept serialization moved an event pinned before {u}")
-        pins[u] = pos[u]
-        taken.add(pos[u])
-    return tuple(pins[u] for u in range(1, total + 1))
-
-
-def _positions(order: list[int]) -> list[int]:
-    # pos[u] is the 1-based position of event u in order; pos[0] is unused
-    pos = [0] * (len(order) + 1)
-    for p, u in enumerate(order, 1):
-        pos[u] = p
-    return pos
-
-
 def check_sc_oracle(
     trace: Trace, bound: int = ORACLE_BOUND_DEFAULT
 ) -> Optional[SerialWitness]:
     """Return a serial witness if the trace is sequentially consistent.
 
-    The witness is the lexicographically least valid one, comparing the
-    sequences (f(1), f(2), ...).  One search over program-order
-    interleavings decides SC and yields a serialization; `_lex_min_witness`
-    then fixes f(1), f(2), ... in turn and searches again only for a
-    position smaller than the one the kept serialization already gives.
-    That is exact: the kept serialization meets every position fixed so
-    far, so it proves its own position feasible, and each smaller one is
-    decided by a search of its own.
+    The witness is the inverse of the lexicographically least valid
+    serialization, comparing serializations as sequences of event indices
+    in serial order.  One search over program-order interleavings decides
+    SC and yields that serialization.
     """
     if bound < 0:
         raise ParameterError(f"oracle bound must be >= 0, got {bound}")
@@ -262,7 +204,10 @@ def check_sc_oracle(
         raise OracleBoundError(total, bound)
     progs = _programs(trace)
     steps, width = _steps(trace)
-    order = _feasible_with_pins(steps, width, progs, {})
+    order = _serialize(steps, width, progs)
     if order is None:
         return None
-    return SerialWitness(_lex_min_witness(steps, width, progs, order))
+    f = [0] * total
+    for p, u in enumerate(order, 1):
+        f[u - 1] = p
+    return SerialWitness(tuple(f))

@@ -1,11 +1,13 @@
 """A deliberately naive sequential-consistency oracle, the reference for
 scmc.analysis.check_sc_oracle.
 
-It scans every permutation of the events in lexicographic order and
-returns the first that keeps each processor's program order and yields a
-serial trace.  That is the lexicographically least witness by definition,
-with no interleaving search or memoization, so it is slow but can be
-checked by eye.  It refuses traces longer than PERMUTATION_BOUND events.
+It scans every serial order of the events, a sequence of event indices,
+in lexicographic order, and takes the first that keeps each processor's
+program order and yields a serial trace.  That is the lexicographically
+least serialization by definition, with no interleaving search or
+memoization, so it is slow but can be checked by eye.  The witness is its
+inverse, placing event u at position f(u).  It refuses traces longer than
+PERMUTATION_BOUND events.
 """
 from itertools import permutations
 
@@ -15,11 +17,15 @@ PERMUTATION_BOUND = 8
 
 
 def permutation_oracle(trace: Trace):
-    """The least serial witness of trace, or None if it is not SC."""
+    """The witness of the least serialization of trace, or None if it is not SC."""
     total = len(trace)
     if total > PERMUTATION_BOUND:
         raise OracleBoundError(total, PERMUTATION_BOUND)
-    for f in permutations(range(1, total + 1)):
-        if respects_program_order(trace, f) and is_serial(SerialWitness(f).apply(trace)):
-            return SerialWitness(f)
+    for order in permutations(range(1, total + 1)):
+        f = [0] * total
+        for p, u in enumerate(order, 1):
+            f[u - 1] = p
+        w = SerialWitness(f)
+        if respects_program_order(trace, w.f) and is_serial(w.apply(trace)):
+            return w
     return None
