@@ -146,7 +146,6 @@ class _Search(NamedTuple):
     exceeded: bool  # stopped because more than max_states keys were reached
 
 
-_PAGE_BITS = 19  # a visited-bitmap page covers 2**19 keys in 64 KiB
 _BITS = tuple(1 << b for b in range(8))
 
 
@@ -160,27 +159,26 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
     reached.  Breadth-first order makes the path to a goal a shortest one.
 
     Keys are numbered in discovery order and kept in int arrays, so no
-    structure holds an object per key.  The visited set is a bitmap: bit
-    key & 7 of byte key >> 3 & 0xFFFF of page key >> 19.  A page is
-    allocated when a key on it is first reached, so sparse keys cost a few
-    pages plus a list slot per 2**19 keys below the largest.  Keys are
-    expanded in the order they are discovered: a cursor walks `keys`, and a
-    level ends where `keys` ended when the level began.
+    structure holds an object per key.  The visited set is one bitmap, bit
+    key & 7 of byte key >> 3.  A key past its end grows it to twice its
+    length, or to the key's byte if that is further, so it is at most twice
+    the bytes the largest key needs.  That is small only for dense keys:
+    every caller numbers its states from 0 in discovery order (times the
+    monitor vector count in model_check), via _numbering.  Keys are expanded
+    in the order they are discovered: a cursor walks `keys`, and a level
+    ends where `keys` ended when the level began.
     """
     keys = array("q", dict.fromkeys(roots))
-    pages: list = []  # bitmap pages; b"" stands for a page with no key reached
+    visited = bytearray()
 
-    def page_of(key: int) -> bytearray:
-        hi = key >> _PAGE_BITS
-        if hi >= len(pages):
-            pages.extend([b""] * (hi + 1 - len(pages)))
-        if not pages[hi]:
-            pages[hi] = bytearray(1 << (_PAGE_BITS - 3))
-        return pages[hi]
+    def grow(key: int) -> None:
+        visited.extend(bytes(max(len(visited), (key >> 3) + 1 - len(visited))))
 
-    shift, mask, bits = _PAGE_BITS, (1 << (_PAGE_BITS - 3)) - 1, _BITS
+    bits = _BITS
     for key in keys:
-        page_of(key)[key >> 3 & mask] |= bits[key & 7]
+        if key >> 3 >= len(visited):
+            grow(key)
+        visited[key >> 3] |= bits[key & 7]
     parent = array("q", [-1]) * len(keys)
     event: list = [None] * len(keys)
     bound = sys.maxsize if max_states is None else max_states
@@ -198,11 +196,11 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
         for e, key2 in expand(keys[i]):
             transitions += 1
             try:
-                if pages[key2 >> shift][key2 >> 3 & mask] & bits[key2 & 7]:
+                if visited[key2 >> 3] & bits[key2 & 7]:
                     continue
-            except IndexError:  # no key on this page reached yet
-                page_of(key2)
-            pages[key2 >> shift][key2 >> 3 & mask] |= bits[key2 & 7]
+            except IndexError:  # past the bitmap's end
+                grow(key2)
+            visited[key2 >> 3] |= bits[key2 & 7]
             append(key2)
             append_parent(i)
             append_event(e)
@@ -214,17 +212,19 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
     return _Search(keys, parent, event, transitions, depth, None, False)
 
 
-def _numbering() -> tuple[list, _Memo]:
+def _numbering(scale: int = 1) -> tuple[list, _Memo]:
     """A list and a memo that numbers each new value by appending it there.
 
-    Values are numbered in the order first met, so when a search meets them
-    in discovery order, a value's number is its search id.
+    Values are numbered 0, scale, 2 * scale, ... in the order first met,
+    so a value's number divided by scale is its index in the list.  When a
+    search meets values numbered with scale 1 in discovery order, a value's
+    number is its search id.
     """
     values: list = []
 
     def number(x) -> int:
         values.append(x)
-        return len(values) - 1
+        return (len(values) - 1) * scale
 
     return values, _Memo(number)
 
@@ -270,15 +270,10 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     size = len(vectors)
     mids = {vec: mid for mid, vec in enumerate(vectors)}
     unmoved = list(range(size))
-    state_keys: list = []
+    # protocol state key <-> pid * size, one int object per pid
+    state_keys, bases = _numbering(size)
     succ_cache: dict[int, tuple] = {}  # pid * size -> (edge, base2, edge, base2, ...)
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
-
-    def number(x) -> int:
-        state_keys.append(x)
-        return (len(state_keys) - 1) * size
-
-    bases = _Memo(number)  # protocol state key -> pid * size, one int object per pid
 
     def monitor_table(e: Event) -> Optional[tuple]:
         if type(e) is not MemoryEvent:
@@ -336,14 +331,6 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     run = Run(path, Params(protocol.n, protocol.m, 2))
     trace, cycle = extract_cycle(protocol, run, init, k)
     return Verdict(k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init)
-
-
-def check_all_k(protocol: MemorySystem, max_states: int = DEFAULT_MAX_STATES) -> list[Verdict]:
-    """model_check for every k in 1..min(n, m), ascending."""
-    return [
-        model_check(protocol, k, max_states=max_states)
-        for k in range(1, min(protocol.n, protocol.m) + 1)
-    ]
 
 
 @_gc_paused

@@ -68,8 +68,9 @@ class MemorySystem(ABC):
     """A finite transition system over the shared event alphabet.
 
     A system gives its initial states and `successors`, the transition
-    relation; `enabled` and `step` derive from it, and a system may
-    override `step` with a direct guard check.  States must be hashable.
+    relation: the enabled events of a state, each with its successor.
+    `step` derives from it, and a system may override `step` with a direct
+    guard check.  States must be hashable.
     Searches keep the key encode_state(s) and rebuild s with decode_state,
     so decode_state(encode_state(s)) must equal s.  The base-class key is
     the state itself; a system may override both methods to pack its
@@ -88,9 +89,6 @@ class MemorySystem(ABC):
     @abstractmethod
     def successors(self, state) -> tuple[tuple[Event, object], ...]:
         """The enabled events of `state` with their successor states."""
-
-    def enabled(self, state) -> tuple[Event, ...]:
-        return tuple(e for e, _ in self.successors(state))
 
     def step(self, state, event):
         """The successor under `event`; DisabledEventError if its guard fails."""
@@ -510,7 +508,7 @@ def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace
         else:
             cands = [
                 se
-                for se in protocol.enabled(shadow)
+                for se, _ in protocol.successors(shadow)
                 if isinstance(se, MemoryEvent)
                 and se.op == READ
                 and se.proc == e.proc

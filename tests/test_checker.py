@@ -15,7 +15,6 @@ from scmc import (
     Run,
     accepts,
     build_constraint_graph,
-    check_all_k,
     check_sc_oracle,
     explore_protocol,
     extract_cycle,
@@ -264,19 +263,19 @@ GRAPH = {
     "h": [],
 }
 DENSE = {x: i for i, x in enumerate("abcdefgh")}
-# ids far past the first bitmap page (2**19 keys) and on pages far apart;
-# b and e share a byte, a and d a bit of adjacent bytes, a and f a bit of
-# the first and the middle byte of a page, f and g lie on adjacent pages,
-# and a keeps id 0
-FAR = {
+# ids that keep crossing the bitmap's end: discovered in the order acbfdehg,
+# c, d and g lie more than twice its length out and extend it to their
+# byte, and b, f, e and h less than that and double it; in the order
+# abcdefgh, b, d and g extend it and e doubles it
+GROWING = {
     "a": 0,
-    "b": 2**24 + 3,
-    "c": 2**33 + 5,
-    "d": 8,
-    "e": 2**24 + 4,
-    "f": 2**18,
-    "g": 2**19,
-    "h": 2**33 + 2**19 + 1,
+    "b": 9 * 8 + 1,
+    "c": 5 * 8 + 7,
+    "d": 100 * 8 + 2,
+    "e": 150 * 8 + 6,
+    "f": 20 * 8 + 4,
+    "g": 5000 * 8 + 5,
+    "h": 300 * 8 + 3,
 }
 
 # (roots, options, expected); each expected value is (states, transitions,
@@ -331,18 +330,34 @@ class TestSearchEngine:
     def test_search(self, roots, options, expected):
         assert search_graph(DENSE, roots, options) == expected
 
-    # the same cases with ids that lie on bitmap pages far apart
+    # the same cases with ids that keep crossing the bitmap's end
     @pytest.mark.parametrize("roots, options, expected", SEARCH_CASES)
     def test_far_keys(self, roots, options, expected):
+        assert search_graph(GROWING, roots, options) == expected
+
+    def test_bitmap_size(self):
+        # the memory held while the search runs, measured at every expand,
+        # is the bitmap, at most twice the bytes its largest key needs, and
+        # the arrays of 8 keys and the search's frames, which fit in the
+        # allowance; the zeroed block a growth appends is freed by then.
+        # The ids, met in the order abcdefgh, grow by half at each node, so
+        # the bitmap doubles 5 times and ends 1.87 times what h needs
+        ids = {x: 8 * (50_000 * 3**i // 2**i) for i, x in enumerate("abcdefgh")}
+        graph = {ids[x]: [(e, ids[y]) for e, y in edges] for x, edges in GRAPH.items()}
+        held = []
+
+        def expand(key):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return iter(graph[key])
+
         tracemalloc.start()
         try:
-            result = search_graph(FAR, roots, options)
-            peak = tracemalloc.get_traced_memory()[1]
+            found = checker._search([ids["a"]], expand, None)
         finally:
             tracemalloc.stop()
-        assert result == expected
-        # a few 64 KiB pages and the page list, not a bitmap up to 2**33
-        assert peak < 2**20
+        assert len(found.keys) == len(GRAPH)
+        largest = max(ids.values())
+        assert largest // 8 < max(held) <= 2 * (largest // 8 + 1) + 4096
 
 
 class TestSearchMemory:
@@ -421,23 +436,6 @@ class TestGcPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-
-class TestCheckAllK:
-    def test_buggy_reports_k2(self):
-        p = make_protocol("piranha-buggy", 2, 2, 2)
-        verdicts = check_all_k(p)
-        assert [v.k for v in verdicts] == [1, 2]
-        assert verdicts[1].result == COUNTEREXAMPLE
-
-    def test_correct_all_clear(self):
-        p = make_protocol("piranha", 2, 2, 1)
-        assert [v.result for v in check_all_k(p)] == [NO_VIOLATION, NO_VIOLATION]
-
-    def test_k_range_follows_min(self):
-        p = make_protocol("piranha", 1, 3, 1)
-        verdicts = check_all_k(p)
-        assert [v.k for v in verdicts] == [1]
 
 
 class TestExtractCycle:

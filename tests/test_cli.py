@@ -119,6 +119,14 @@ class TestCheck:
         assert [v["k"] for v in payload["verdicts"]] == [1, 2]
         assert all(v["run"] is None for v in payload["verdicts"])
 
+    def test_all_k_follows_min(self, capsys):
+        # k runs over 1..min(n, m), so one processor gives k = 1 only
+        code, payload = run_json(
+            capsys, ["check", "--n", "1", "--m", "3", "--queue-bound", "1", "--k", "all"]
+        )
+        assert code == EXIT_OK
+        assert [v["k"] for v in payload["verdicts"]] == [1]
+
     def test_text_verdict_lines(self, capsys):
         code = main(["check", "--protocol", "piranha-buggy", "--queue-bound", "2", "--k", "1"])
         out = capsys.readouterr().out
