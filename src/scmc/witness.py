@@ -366,6 +366,16 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
     only at u_1's location with an edge into u_1.  Only choices that cannot
     close are skipped, so the first cycle found is the least one.
 
+    Two cases follow from the levels.  Reads of one value have equal
+    levels, so no location edge joins them either way, and neither can be
+    the location successor of the other.  And two events of one processor
+    at one location are joined by a processor edge and, when their levels
+    differ, by a location edge too, so one vertex can carry both kinds of
+    edge to the same neighbour.  The search gives each step its role: at
+    k = 1, (u_1, v_1) is the processor edge and v_1 -> u_1 the location
+    edge back, as when a read returns a value older than an earlier event
+    of its own processor saw or wrote.
+
     A nice cycle is a cycle of the graph, so its vertices share one strongly
     connected component (`ConstraintGraph._components`).  u_1 is taken only
     from vertices on some cycle, and every later vertex only from u_1's

@@ -376,6 +376,46 @@ class TestSearchMemory:
         assert peak <= 240 * v.states
 
 
+class TestNumbering:
+    """model_check numbers only the successors some monitor vector allows.
+    The constraint of a location above k admits writes of 0 alone, so a
+    write of 1 or 2 there gets no number and no successor-cache entry."""
+
+    @pytest.mark.parametrize(
+        "name, n, m, q, k, numbered",
+        [
+            ("piranha", 2, 3, 1, 1, 5_280),  # 11,568 with blocked writes numbered
+            ("piranha-buggy", 2, 2, 1, 1, 2_767),  # 4,473 with them
+            ("piranha", 2, 2, 3, 2, 10_278),  # no location above k
+        ],
+    )
+    def test_numbered_protocol_states(self, monkeypatch, name, n, m, q, k, numbered):
+        numbering = checker._numbering
+        lists = []
+
+        def capturing(scale=1):
+            values, memo = numbering(scale)
+            lists.append(values)
+            return values, memo
+
+        monkeypatch.setattr(checker, "_numbering", capturing)
+        model_check(make_protocol(name, n, m, q), k)
+        assert [len(values) for values in lists] == [numbered]
+
+    def test_blocked_writes_hold_no_memory(self):
+        # 1.8 MB at peak; numbering and caching the blocked writes' states
+        # as well took 3.1 MB (Python 3.11)
+        p = make_protocol("piranha", 2, 3, 1)
+        tracemalloc.start()
+        try:
+            v = model_check(p, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.result, v.states) == (NO_VIOLATION, 6_354)
+        assert peak <= 2_300_000
+
+
 class TestProtocolCalls:
     """model_check calls the protocol exactly as often as before the
     product-key and kernel rewrite; the benchmark gates these counts."""
