@@ -40,7 +40,6 @@ from .errors import (
     OracleBoundError,
     ParameterError,
     PreconditionError,
-    RenamingDomainError,
     ReplayError,
     ScmcError,
     SoundnessError,
@@ -51,20 +50,11 @@ from .events import (
     InternalEvent,
     MemoryEvent,
     Params,
-    RenamingFunction,
     Run,
     Trace,
     dumps_jsonl,
-    identity_renaming,
     loads_run_jsonl,
-    loc_indices,
-    permute_locs,
-    permute_procs,
-    proc_indices,
     project_trace,
-    read_indices,
-    rename_data,
-    write_indices,
 )
 from .monitors import (
     CheckAutomaton,
@@ -87,7 +77,6 @@ from .witness import (
     ConstraintGraph,
     NiceCycle,
     build_constraint_graph,
-    expanded_order,
     find_cycle,
     find_minimal_nice_cycle,
     find_nice_cycle,
@@ -123,8 +112,6 @@ __all__ = [
     "PreconditionError",
     "PROTOCOL_NAMES",
     "READ",
-    "RenamingDomainError",
-    "RenamingFunction",
     "ReplayError",
     "Run",
     "ScmcError",
@@ -137,28 +124,19 @@ __all__ = [
     "build_constraint_graph",
     "check_sc_oracle",
     "dumps_jsonl",
-    "expanded_order",
     "explore_protocol",
     "extract_cycle",
     "find_cycle",
     "find_minimal_nice_cycle",
     "find_nice_cycle",
-    "identity_renaming",
     "is_causal",
     "is_serial",
     "is_unambiguous",
     "loads_run_jsonl",
-    "loc_indices",
-    "proc_indices",
-    "read_indices",
-    "write_indices",
     "make_protocol",
     "model_check",
-    "permute_locs",
-    "permute_procs",
     "permute_run",
     "project_trace",
-    "rename_data",
     "replay",
     "replay_unambiguous",
     "respects_program_order",

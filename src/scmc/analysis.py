@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OracleBoundError, ParameterError
-from .events import READ, WRITE, Trace, proc_indices
+from .events import READ, WRITE, Trace
 
 ORACLE_BOUND_DEFAULT = 10
 
@@ -89,12 +89,9 @@ def respects_program_order(trace: Trace, f: tuple[int, ...]) -> bool:
     """True iff f is increasing along every processor's events."""
     if len(f) != len(trace):
         raise ParameterError(f"witness on {len(f)} events checked against trace of {len(trace)}")
-    for i in range(1, trace.params.n + 1):
-        idxs = proc_indices(trace, i)
-        for a, b in zip(idxs, idxs[1:]):
-            if f[a - 1] >= f[b - 1]:
-                return False
-    return True
+    return all(
+        f[a - 1] < f[b - 1] for prog in _programs(trace) for a, b in zip(prog, prog[1:])
+    )
 
 
 def _programs(trace: Trace) -> tuple[tuple[int, ...], ...]:

@@ -24,10 +24,6 @@ class FormatError(ScmcError, ValueError):
         super().__init__(message)
 
 
-class RenamingDomainError(ScmcError, ValueError):
-    """A renaming function was applied outside its finite domain."""
-
-
 class PreconditionError(ScmcError, ValueError):
     """An operation was called on input that violates its precondition."""
 

@@ -6,16 +6,16 @@ reserved for the initial contents of every location.  Memory events are
 internal events carrying integer parameters.  A trace is the subsequence of
 memory events of a run.
 
-All indices handed out or consumed by this module are 1-based: processors
-are 1..n, locations 1..m, and positions within a trace are 1..len(trace).
+All indices are 1-based: processors are 1..n, locations 1..m, and positions
+within a trace are 1..len(trace).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Union
 
-from .errors import FormatError, ParameterError, RenamingDomainError
+from .errors import FormatError, ParameterError
 
 READ = "R"
 WRITE = "W"
@@ -82,12 +82,6 @@ class Trace:
     def __iter__(self) -> Iterator[MemoryEvent]:
         return iter(self.events)
 
-    def at(self, i: int) -> MemoryEvent:
-        """1-based positional access."""
-        if not 1 <= i <= len(self.events):
-            raise ParameterError(f"index {i} outside 1..{len(self.events)}")
-        return self.events[i - 1]
-
 
 @dataclass(frozen=True)
 class Run:
@@ -128,122 +122,6 @@ def project_trace(run: Run) -> Trace:
     object.__setattr__(trace, "events", events)
     object.__setattr__(trace, "params", run.params)
     return trace
-
-
-def _check_proc(trace: Trace, i: int) -> None:
-    if not 1 <= i <= trace.params.n:
-        raise ParameterError(f"proc {i} outside 1..{trace.params.n}")
-
-
-def _check_loc(trace: Trace, j: int) -> None:
-    if not 1 <= j <= trace.params.m:
-        raise ParameterError(f"loc {j} outside 1..{trace.params.m}")
-
-
-def proc_indices(trace: Trace, i: int) -> tuple[int, ...]:
-    """1-based positions of processor i's events, ascending."""
-    _check_proc(trace, i)
-    return tuple(x for x, e in enumerate(trace.events, 1) if e.proc == i)
-
-
-def loc_indices(trace: Trace, j: int) -> tuple[int, ...]:
-    """1-based positions of events at location j, ascending."""
-    _check_loc(trace, j)
-    return tuple(x for x, e in enumerate(trace.events, 1) if e.loc == j)
-
-
-def write_indices(trace: Trace, j: int) -> tuple[int, ...]:
-    _check_loc(trace, j)
-    return tuple(
-        x for x, e in enumerate(trace.events, 1) if e.loc == j and e.op == WRITE
-    )
-
-
-def read_indices(trace: Trace, j: int) -> tuple[int, ...]:
-    _check_loc(trace, j)
-    return tuple(
-        x for x, e in enumerate(trace.events, 1) if e.loc == j and e.op == READ
-    )
-
-
-@dataclass(frozen=True, eq=True)
-class RenamingFunction:
-    """Finite map (location, data) -> data with the fixed point (j, 0) -> 0.
-
-    Pairs with data 0 are implicitly mapped to 0 and need no entry; an
-    explicit entry for data 0 must agree.  Applying the map to a nonzero
-    pair outside its domain raises RenamingDomainError.
-    """
-
-    entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        copied = {}
-        for key, value in dict(self.entries).items():
-            loc, data = key
-            if not (isinstance(loc, int) and loc >= 1):
-                raise ParameterError(f"renaming key location must be >= 1: {key!r}")
-            if not (isinstance(data, int) and data >= 0):
-                raise ParameterError(f"renaming key data must be >= 0: {key!r}")
-            if not (isinstance(value, int) and value >= 0):
-                raise ParameterError(f"renaming value must be >= 0: {value!r}")
-            if data == 0 and value != 0:
-                raise ParameterError(f"renaming must fix (loc, 0) -> 0, got {key!r} -> {value}")
-            copied[(loc, data)] = value
-        object.__setattr__(self, "entries", copied)
-
-    def __call__(self, loc: int, data: int) -> int:
-        if data == 0:
-            return 0
-        try:
-            return self.entries[(loc, data)]
-        except KeyError:
-            raise RenamingDomainError(
-                f"renaming undefined on (loc={loc}, data={data})"
-            ) from None
-
-
-def identity_renaming(trace: Trace) -> RenamingFunction:
-    """The renaming that fixes every (loc, data) pair occurring in the trace."""
-    return RenamingFunction(
-        {(e.loc, e.data): e.data for e in trace.events if e.data != 0}
-    )
-
-
-def rename_data(trace: Trace, renaming: RenamingFunction) -> Trace:
-    """Apply a renaming to every event's data field; op/proc/loc unchanged."""
-    events = tuple(
-        MemoryEvent(e.op, e.proc, e.loc, renaming(e.loc, e.data))
-        for e in trace.events
-    )
-    v = max([trace.params.v] + [e.data for e in events])
-    return Trace(events, Params(trace.params.n, trace.params.m, v))
-
-
-def check_permutation(perm: Iterable[int], size: int) -> tuple[int, ...]:
-    """Validate that perm is a bijection on 1..size; returns it as a tuple."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, size + 1)):
-        raise ParameterError(f"{perm!r} is not a permutation of 1..{size}")
-    return perm
-
-
-def permute_procs(trace: Trace, perm: Iterable[int]) -> Trace:
-    """Rename processor ids: event of processor i becomes one of perm[i-1]."""
-    perm = check_permutation(perm, trace.params.n)
-    return Trace(
-        tuple(MemoryEvent(e.op, perm[e.proc - 1], e.loc, e.data) for e in trace.events),
-        trace.params,
-    )
-
-
-def permute_locs(trace: Trace, perm: Iterable[int]) -> Trace:
-    """Rename location ids: event at location j becomes one at perm[j-1]."""
-    perm = check_permutation(perm, trace.params.m)
-    return Trace(
-        tuple(MemoryEvent(e.op, e.proc, perm[e.loc - 1], e.data) for e in trace.events),
-        trace.params,
-    )
 
 
 # ---------------------------------------------------------------------------

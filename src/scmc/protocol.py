@@ -35,7 +35,6 @@ from .events import (
     Params,
     Run,
     Trace,
-    check_permutation,
 )
 
 INV, SHD, EXC = 0, 1, 2
@@ -436,16 +435,6 @@ class PiranhaProtocol(MemorySystem):
         raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
 
 
-def at_most_one_exclusive(state: PiranhaState) -> bool:
-    """Coherence sanity: no location is EXC in two caches at once."""
-    m = len(state.owner)
-    for j in range(m):
-        holders = sum(1 for row in state.cache if row[j][1] == EXC)
-        if holders > 1:
-            return False
-    return True
-
-
 PROTOCOL_NAMES = ("piranha", "piranha-buggy")
 
 
@@ -533,6 +522,17 @@ def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace
             raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
     v = max([1] + [tag - 1 for tag in next_tag.values()])
     return Trace(tuple(out), Params(protocol.n, protocol.m, v))
+
+
+def check_permutation(perm: Sequence[int], size: int) -> tuple[int, ...]:
+    """Validate that perm is a bijection on 1..size; returns it as a tuple.
+
+    Entries must be ints, not bools or floats, as in the JSON Lines reader.
+    """
+    perm = tuple(perm)
+    if not all(type(p) is int for p in perm) or sorted(perm) != list(range(1, size + 1)):
+        raise ParameterError(f"{perm!r} is not a permutation of 1..{size}")
+    return perm
 
 
 def permute_run(protocol: MemorySystem, run: Run, kind: str, perm: Sequence[int]) -> Run:

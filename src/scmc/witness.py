@@ -15,23 +15,6 @@ from .errors import ParameterError, PreconditionError
 from .events import READ, WRITE, Trace
 
 
-def expanded_order(trace: Trace, loc: int) -> frozenset[tuple[int, int]]:
-    """Pairs (x, y) of positions at `loc` ordered by the expanded witness.
-
-    (x, y) is in the relation iff any of:
-      1. x is a write and y a read of the same value;
-      2. x carries data 0 and y nonzero data;
-      3. the write sourcing x's value comes before the one sourcing y's.
-    """
-    if not 1 <= loc <= trace.params.m:
-        raise ParameterError(f"loc {loc} outside 1..{trace.params.m}")
-    graph = build_constraint_graph(trace)
-    members = graph.loc_members.get(loc, ())
-    return frozenset(
-        (x, y) for x in members for y in members if graph._loc_pair(x, y)
-    )
-
-
 class _lazy:
     """An attribute computed by `build` on first access, then stored.
 
@@ -91,13 +74,9 @@ class ConstraintGraph:
             return eu.proc
         return None
 
-    def _loc_pair(self, x: int, y: int) -> bool:
-        """Expanded order on two events at the same location."""
-        return self.level[x] < self.level[y]
-
     def loc_edge_label(self, u: int, v: int) -> Optional[int]:
         loc = self.trace.events[u - 1].loc
-        if loc == self.trace.events[v - 1].loc and self._loc_pair(u, v):
+        if loc == self.trace.events[v - 1].loc and self.level[u] < self.level[v]:
             return loc
         return None
 
@@ -338,9 +317,16 @@ class NiceCycle:
 
 
 def verify_nice_cycle(graph: ConstraintGraph, cycle: NiceCycle) -> bool:
+    """Whether `cycle` is a nice cycle of `graph`, with k >= 1.
+
+    Its vertices are checked to lie in 1..len(graph) before any edge is
+    queried, since a position below 1 would index the trace from its end.
+    """
     k = cycle.k
     verts = cycle.vertices
-    if len(verts) != 2 * k or len(set(verts)) != 2 * k:
+    if k < 1 or len(verts) != 2 * k or len(set(verts)) != 2 * k:
+        return False
+    if not all(1 <= v <= len(graph) for v in verts):
         return False
     if len(set(cycle.procs)) != k or len(set(cycle.locs)) != k:
         return False

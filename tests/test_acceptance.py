@@ -21,15 +21,11 @@ from scmc import (
     WRITE,
     accepts,
     check_sc_oracle,
-    expanded_order,
     extract_cycle,
     find_cycle,
     find_nice_cycle,
     build_constraint_graph,
-    loc_indices,
     make_protocol,
-    permute_locs,
-    permute_procs,
     project_trace,
     replay,
     validate_assumptions,
@@ -39,6 +35,7 @@ from scmc.cli import EXIT_OK, EXIT_VIOLATION, main
 
 from corpus import all_traces
 from fixtures import PrivilegedWriterProtocol
+from reference_trace import expanded_order, permute_locs, permute_procs, positions
 
 W = lambda i, j, d: MemoryEvent(WRITE, i, j, d)
 R = lambda i, j, d: MemoryEvent(READ, i, j, d)
@@ -164,7 +161,7 @@ def test_criterion_5_partial_order_properties(corpus, capsys):
     for trace in corpus:
         for j in range(1, trace.params.m + 1):
             pairs = expanded_order(trace, j)
-            members = loc_indices(trace, j)
+            members = positions(trace, loc=j)
             pair_sets += 1
             for x, y in pairs:
                 assert x != y

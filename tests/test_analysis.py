@@ -1,29 +1,32 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmc import (
     MemoryEvent,
     OracleBoundError,
     Params,
-    RenamingFunction,
     SerialWitness,
     Trace,
     check_sc_oracle,
     is_causal,
     is_serial,
     is_unambiguous,
-    rename_data,
     respects_program_order,
 )
 from scmc import analysis
 from scmc.errors import ParameterError
-from scmc.events import write_indices
 from corpus import all_traces, serial_trace
 from reference_oracle import PERMUTATION_BOUND, permutation_oracle
-from strategies import analyzable_traces, arbitrary_traces, unambiguous_causal_traces
+from reference_trace import rename_data
+from strategies import (
+    analyzable_traces,
+    arbitrary_traces,
+    permutations_of,
+    unambiguous_causal_traces,
+)
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -56,9 +59,9 @@ class TestUnambiguous:
 
     @staticmethod
     def per_location(trace):
-        """The definition, location by location over write_indices."""
+        """The definition, location by location."""
         for j in range(1, trace.params.m + 1):
-            values = [trace.at(x).data for x in write_indices(trace, j)]
+            values = [e.data for e in trace.events if e.loc == j and e.op == "W"]
             if 0 in values or len(set(values)) != len(values):
                 return False
         return True
@@ -121,6 +124,45 @@ class TestSerialWitness:
         trace = Trace((W(1, 1, 1), R(1, 1, 1)), Params(1, 1, 1))
         with pytest.raises(ParameterError):
             respects_program_order(trace, f)
+
+    @pytest.mark.parametrize("f, respects", [
+        ((1, 2, 3, 4), True),
+        ((2, 1, 4, 3), True),
+        ((1, 4, 2, 3), False),  # only processor 2's order breaks
+        ((1, 2, 1, 3), False),  # processor 1's two events share a position
+    ])
+    def test_program_order_cases(self, f, respects):
+        # processor 1 runs events 1 and 3, processor 2 events 2 and 4
+        trace = Trace((W(1, 1, 1), W(2, 1, 2), R(1, 1, 2), R(2, 1, 1)), Params(2, 1, 2))
+        assert respects_program_order(trace, f) == respects
+
+    @settings(max_examples=200)
+    @given(arbitrary_traces(), st.data())
+    def test_program_order_matches_definition(self, trace, data):
+        # the all-pairs definition, for a random permutation and for two
+        # changes to the identity: a swap, which breaks at most the order of
+        # two processors, and a repeated position, which tells a strict
+        # compare from one that admits equality
+        size = len(trace)
+
+        def identity_but(changes):
+            return [changes.get(x, x) for x in range(1, size + 1)]
+
+        position = st.integers(1, max(size, 1))
+        pair = st.tuples(position, position)
+        f = data.draw(st.one_of(
+            permutations_of(size),
+            pair.map(lambda ij: identity_but({ij[0]: ij[1], ij[1]: ij[0]})),
+            pair.map(lambda ij: identity_but({ij[0]: ij[1]})),
+        ))
+        events = trace.events
+        expected = all(
+            f[u - 1] < f[v - 1]
+            for u in range(1, size + 1)
+            for v in range(u + 1, size + 1)
+            if events[u - 1].proc == events[v - 1].proc
+        )
+        assert respects_program_order(trace, tuple(f)) == expected
 
 
 class TestOracle:
@@ -258,6 +300,6 @@ class TestOracle:
                 st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)
             )
         )
-        lam = RenamingFunction(dict(zip(pairs, values)))
+        lam = dict(zip(pairs, values))
         if check_sc_oracle(trace) is not None:
             assert check_sc_oracle(rename_data(trace, lam)) is not None

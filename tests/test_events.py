@@ -10,26 +10,18 @@ from scmc import (
     MemoryEvent,
     Params,
     ParameterError,
-    RenamingDomainError,
-    RenamingFunction,
     Run,
     Trace,
+    build_constraint_graph,
     dumps_jsonl,
-    identity_renaming,
     loads_run_jsonl,
-    permute_locs,
-    permute_procs,
     project_trace,
-    rename_data,
 )
-from scmc.events import (
-    loc_indices,
-    proc_indices,
-    read_indices,
-    write_indices,
-)
+from scmc.analysis import _programs
 from scmc.monitors import ConstrainAutomaton, accepts
+from scmc.protocol import check_permutation
 from reference_jsonl import reference_loads_run_jsonl
+from reference_trace import permute_locs, permute_procs, rename_data
 from strategies import (
     arbitrary_traces,
     jsonl_texts,
@@ -77,14 +69,6 @@ class TestParams:
         with pytest.raises(ParameterError):
             Trace((InternalEvent("UPD", (1,)),), Params(1, 1, 1))
 
-    def test_at_is_one_based(self):
-        assert EXAMPLE_TRACE.at(1) == W(1, 1, 1)
-        assert EXAMPLE_TRACE.at(3) == R(2, 1, 1)
-        with pytest.raises(ParameterError):
-            EXAMPLE_TRACE.at(0)
-        with pytest.raises(ParameterError):
-            EXAMPLE_TRACE.at(4)
-
 
 class TestProjection:
     def test_eight_event_run(self):
@@ -100,21 +84,17 @@ class TestProjection:
         assert len(project_trace(run)) == 0
 
     def test_index_projections(self):
-        assert proc_indices(EXAMPLE_TRACE, 2) == (2, 3)
-        assert proc_indices(EXAMPLE_TRACE, 1) == (1,)
-        assert write_indices(EXAMPLE_TRACE, 1) == (1,)
-        assert read_indices(EXAMPLE_TRACE, 1) == (2, 3)
-        assert loc_indices(EXAMPLE_TRACE, 1) == (1, 2, 3)
+        # the oracle's per-processor split and the graph's per-location one
+        assert _programs(EXAMPLE_TRACE) == ((1,), (2, 3))
+        graph = build_constraint_graph(EXAMPLE_TRACE)
+        assert graph.loc_members == {1: (1, 2, 3)}
+        assert graph.writes == {1: (1,)}
 
     def test_empty_projection(self):
+        # processor 2 and location 2 have no events, so neither split has them
         t = Trace((W(1, 1, 1),), Params(2, 2, 1))
-        assert loc_indices(t, 2) == ()
-
-    def test_out_of_range_selector(self):
-        with pytest.raises(ParameterError):
-            proc_indices(EXAMPLE_TRACE, 3)
-        with pytest.raises(ParameterError):
-            loc_indices(EXAMPLE_TRACE, 2)
+        assert _programs(t) == ((1,),)
+        assert build_constraint_graph(t).loc_members == {1: (1,)}
 
     @given(arbitrary_traces())
     def test_projection_order_preserved(self, trace):
@@ -123,47 +103,40 @@ class TestProjection:
 
 
 class TestRenaming:
+    """The trace renaming of tests/reference_trace.py: a dict, 0 fixed."""
+
     def test_zero_is_fixed(self):
-        lam = RenamingFunction({(1, 1): 2})
-        assert lam(1, 0) == 0
-        assert lam(5, 0) == 0
-
-    def test_zero_entry_must_agree(self):
-        with pytest.raises(ParameterError):
-            RenamingFunction({(1, 0): 3})
-        assert RenamingFunction({(1, 0): 0})(1, 0) == 0
-
-    def test_missing_entry(self):
-        lam = RenamingFunction({(1, 1): 2})
-        with pytest.raises(RenamingDomainError):
-            lam(2, 1)
+        t = Trace((R(1, 1, 0), W(1, 1, 1)), Params(1, 1, 1))
+        assert rename_data(t, {(1, 1): 2}).events == (R(1, 1, 0), W(1, 1, 2))
 
     def test_single_substitution(self):
         t = Trace((W(1, 1, 7), R(2, 1, 7)), Params(2, 1, 7))
-        out = rename_data(t, RenamingFunction({(1, 7): 1}))
+        out = rename_data(t, {(1, 7): 1})
         assert out.events == (W(1, 1, 1), R(2, 1, 1))
 
     def test_identity(self):
         t = EXAMPLE_TRACE
-        assert rename_data(t, identity_renaming(t)).events == t.events
+        assert rename_data(t, {(e.loc, e.data): e.data for e in t}).events == t.events
 
     def test_renamed_writes_match_constrained_shape(self):
         # writes 5 then 9 at location 1, mapped to 0 then 1: the image is
         # exactly a write sequence the location-1 constraint accepts
         t = Trace((W(1, 1, 5), R(2, 1, 5), W(2, 1, 9)), Params(2, 1, 9))
-        out = rename_data(t, RenamingFunction({(1, 5): 0, (1, 9): 1}))
+        out = rename_data(t, {(1, 5): 0, (1, 9): 1})
         assert [e.data for e in out.events if e.op == "W"] == [0, 1]
         assert accepts(out, ConstrainAutomaton(1, 1))
 
     @given(unambiguous_causal_traces())
     def test_rename_preserves_shape(self, trace):
-        out = rename_data(trace, identity_renaming(trace))
+        out = rename_data(trace, {(e.loc, e.data): e.data for e in trace})
         assert [(e.op, e.proc, e.loc) for e in out.events] == [
             (e.op, e.proc, e.loc) for e in trace.events
         ]
 
 
 class TestPermutation:
+    """The trace permutations of tests/reference_trace.py: tuples, unchecked."""
+
     def test_proc_swap(self):
         t = Trace((W(1, 1, 1), R(2, 1, 1)), Params(2, 1, 1))
         assert permute_procs(t, (2, 1)).events == (W(2, 1, 1), R(1, 1, 1))
@@ -173,11 +146,11 @@ class TestPermutation:
         assert permute_locs(t, (2, 1)).events == (W(1, 2, 1), R(1, 1, 0))
 
     def test_non_bijection_rejected(self):
-        t = Trace((W(1, 1, 1),), Params(2, 1, 1))
+        # the check permute_run and permute_state make
         with pytest.raises(ParameterError):
-            permute_procs(t, (1, 1))
+            check_permutation((1, 1), 2)
         with pytest.raises(ParameterError):
-            permute_locs(t, (1, 2))
+            check_permutation((1, 2), 1)
 
     @given(arbitrary_traces(), st.data())
     def test_round_trip(self, trace, data):

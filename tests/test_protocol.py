@@ -18,7 +18,7 @@ from scmc import (
     replay,
     replay_unambiguous,
 )
-from scmc.protocol import EXC, INV, SHD, at_most_one_exclusive
+from scmc.protocol import EXC, INV, SHD
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
@@ -383,6 +383,25 @@ class TestSymmetry:
         s = p.initial_state((2, 1))
         assert p.permute_state(s, "proc", (2, 1)).owner == (1, 2)
         assert p.permute_state(s, "loc", (2, 1)).owner == (1, 2)
+
+    @pytest.mark.parametrize("perm", [(1.0, 2.0), (True, 2), (2, True)])
+    def test_permutation_entries_must_be_ints(self, perm):
+        # both sort like (1, 2), but a float cannot index a tuple and True
+        # would land in a state or run as a processor or location
+        p = make_protocol("piranha", 2, 2)
+        s = p.initial_state((2, 1))
+        for kind in ("proc", "loc"):
+            with pytest.raises(ParameterError):
+                p.permute_state(s, kind, perm)
+            with pytest.raises(ParameterError):
+                permute_run(p, RUN12, kind, perm)
+
+
+def at_most_one_exclusive(state) -> bool:
+    """Coherence: no location is EXC in two caches at once."""
+    return all(
+        sum(row[j][1] == EXC for row in state.cache) <= 1 for j in range(len(state.owner))
+    )
 
 
 class TestExclusiveInvariant:

@@ -12,20 +12,17 @@ from scmc import (
     PreconditionError,
     Trace,
     build_constraint_graph,
-    expanded_order,
     find_cycle,
     find_minimal_nice_cycle,
     find_nice_cycle,
-    permute_locs,
-    permute_procs,
     verify_nice_cycle,
 )
 from scmc import witness
 from scmc.analysis import is_causal, is_unambiguous
 from scmc.errors import ParameterError
-from scmc.events import loc_indices, proc_indices
 from scmc.witness import ConstraintGraph
 from corpus import store_buffer_tail
+from reference_trace import expanded_order, permute_locs, permute_procs, positions
 from reference_witness import NaiveGraph, is_cycle_of
 from strategies import (
     analyzable_traces,
@@ -44,6 +41,8 @@ VIOLATION = Trace(
 
 
 class TestExpandedOrder:
+    """The location edges of the constraint graph, as tests/reference_trace.py lists them."""
+
     def test_example(self):
         assert expanded_order(EXAMPLE, 1) == {(2, 1), (2, 3), (1, 3)}
 
@@ -75,14 +74,10 @@ class TestExpandedOrder:
         assert set(build_constraint_graph(t).loc_members) == {2}
         assert expanded_order(t, 1) == expanded_order(t, 3) == frozenset()
 
-    def test_out_of_range_location(self):
-        with pytest.raises(ParameterError):
-            expanded_order(EXAMPLE, 2)
-
     @given(unambiguous_causal_traces())
     def test_pairs_stay_within_location(self, trace):
         for j in range(1, trace.params.m + 1):
-            members = set(loc_indices(trace, j))
+            members = set(positions(trace, loc=j))
             for x, y in expanded_order(trace, j):
                 assert x in members and y in members
 
@@ -103,7 +98,7 @@ class TestExpandedOrder:
         # location, at least one of (r, t), (t, s) is in the order
         for j in range(1, trace.params.m + 1):
             rel = expanded_order(trace, j)
-            members = loc_indices(trace, j)
+            members = positions(trace, loc=j)
             for r, s in rel:
                 for t in members:
                     assert (r, t) in rel or (t, s) in rel
@@ -127,7 +122,7 @@ class TestExpandedOrder:
         perm = data.draw(permutations_of(trace.params.n))
         image = permute_procs(trace, perm)
         for i in range(1, trace.params.n + 1):
-            assert proc_indices(trace, i) == proc_indices(image, perm[i - 1])
+            assert positions(trace, proc=i) == positions(image, proc=perm[i - 1])
 
 
 class TestConstraintGraph:
@@ -270,11 +265,6 @@ class TestAgainstReference:
         for u in range(1, size + 1):
             for v in range(1, size + 1):
                 assert g.loc_edge_label(u, v) == ref.loc_edge_label(u, v)
-        for j in range(1, trace.params.m + 1):
-            members = loc_indices(trace, j)
-            assert expanded_order(trace, j) == {
-                (x, y) for x in members for y in members if ref.loc_pair(x, y)
-            }
 
     @settings(max_examples=300)
     @given(analyzable_traces())
@@ -341,6 +331,23 @@ class TestNiceCycle:
         g = build_constraint_graph(VIOLATION)
         bad = NiceCycle((1, 2, 1, 2), (1, 2), (2, 1))
         assert not verify_nice_cycle(g, bad)
+
+    def test_verify_rejects_empty_cycle(self):
+        for trace in (EXAMPLE, VIOLATION):
+            assert not verify_nice_cycle(build_constraint_graph(trace), NiceCycle((), (), ()))
+
+    def test_verify_rejects_vertices_outside_the_trace(self, monkeypatch):
+        # R(1,1,0) W(2,1,1) is acyclic; vertex -1 would index it from its end
+        g = build_constraint_graph(Trace((R(1, 1, 0), W(2, 1, 1)), Params(2, 1, 1)))
+        assert find_cycle(g) is None
+
+        def no_edge_query(*args):
+            pytest.fail("edge queried before the vertex range check")
+
+        monkeypatch.setattr(ConstraintGraph, "proc_edge_label", no_edge_query)
+        monkeypatch.setattr(ConstraintGraph, "loc_edge_label", no_edge_query)
+        for vertices in ((-1, 1), (0, 1), (1, 3), (3, 1)):
+            assert not verify_nice_cycle(g, NiceCycle(vertices, (1,), (1,)))
 
     def test_canonical_follows_labels(self):
         assert NiceCycle((1, 2, 3, 4), (1, 2), (2, 1)).canonical
