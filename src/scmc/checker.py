@@ -3,9 +3,9 @@
 For cycle size k, the product of a protocol (data domain {0, 1, 2}) with one
 write-order constraint per location and one violation check per processor
 1..k is explored from all initial states.  A reachable state where every
-check is in err yields a counterexample run whose fresh-value replay carries
-a canonical k-nice cycle in its constraint graph; exhausting the product
-without reaching one means no such cycle exists at this k.
+monitor accepts yields a counterexample run whose fresh-value replay
+carries a canonical k-nice cycle in its constraint graph; exhausting the
+product without reaching one means no such cycle exists at this k.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .events import (
     event_to_json,
     project_trace,
 )
-from .monitors import ERR, CheckAutomaton, ConstrainAutomaton, accepts
+from .monitors import CheckAutomaton, ConstrainAutomaton, accepts
 from .protocol import MemorySystem, _Memo, replay, replay_unambiguous, permute_run
 from .witness import NiceCycle, build_constraint_graph, verify_nice_cycle
 
@@ -93,14 +93,14 @@ def extract_cycle(
     vertices: list[int] = []
     for i in range(1, k + 1):
         check = CheckAutomaton(i, k)
-        if not accepts(proj, check):
-            raise PreconditionError(f"run not accepted by the processor-{i} check")
         phase = check.initial()
         for idx, e in enumerate(proj.events, 1):
             phase2 = check.step(phase, e)
             if phase2 != phase:  # a -> b at u_x, then b -> err at v_x
                 vertices.append(idx)
             phase = phase2
+        if not check.accepting(phase):
+            raise PreconditionError(f"run not accepted by the processor-{i} check")
     trace = replay_unambiguous(protocol, run, initial_state)
     cycle = NiceCycle(
         vertices=tuple(vertices),
@@ -264,8 +264,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     # by decode_state on demand.
     # Keys stay below (number of pids) * size, so the visited bitmap needs
     # about size bits per protocol state.
-    m = protocol.m
-    automata = [ConstrainAutomaton(j, k) for j in range(1, m + 1)]
+    automata = [ConstrainAutomaton(j, k) for j in range(1, protocol.m + 1)]
     automata += [CheckAutomaton(i, k) for i in range(1, k + 1)]
     vectors = list(product(*[a.states for a in automata]))
     size = len(vectors)
@@ -325,7 +324,8 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
 
     start = mids[tuple(a.initial() for a in automata)]
     goal = frozenset(
-        mid for mid, vec in enumerate(vectors) if all(p == ERR for p in vec[m:])
+        mid for mid, vec in enumerate(vectors)
+        if all(a.accepting(p) for a, p in zip(automata, vec))
     )
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():

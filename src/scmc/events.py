@@ -47,19 +47,22 @@ class Params:
     def __post_init__(self) -> None:
         for name in ("n", "m", "v"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_memory_event(e: MemoryEvent, params: Params) -> None:
-    if e.op not in (READ, WRITE):
-        raise ParameterError(f"bad op {e.op!r} (expected {READ!r} or {WRITE!r})")
-    if not 1 <= e.proc <= params.n:
-        raise ParameterError(f"proc {e.proc} outside 1..{params.n}")
-    if not 1 <= e.loc <= params.m:
-        raise ParameterError(f"loc {e.loc} outside 1..{params.m}")
-    if not 0 <= e.data <= params.v:
-        raise ParameterError(f"data {e.data} outside 0..{params.v}")
+    op, proc, loc, data = e
+    if op not in (READ, WRITE):
+        raise ParameterError(f"bad op {op!r} (expected {READ!r} or {WRITE!r})")
+    if not type(proc) is type(loc) is type(data) is int:  # a bool is not taken as one
+        raise ParameterError(f"proc, loc and data must be ints: {e!r}")
+    if not 1 <= proc <= params.n:
+        raise ParameterError(f"proc {proc} outside 1..{params.n}")
+    if not 1 <= loc <= params.m:
+        raise ParameterError(f"loc {loc} outside 1..{params.m}")
+    if not 0 <= data <= params.v:
+        raise ParameterError(f"data {data} outside 0..{params.v}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ class Run:
             if isinstance(e, MemoryEvent):
                 _check_memory_event(e, self.params)
             elif isinstance(e, InternalEvent):
-                if not all(isinstance(p, int) for p in e.params):
+                if not all(type(p) is int for p in e.params):
                     raise ParameterError(f"internal event params must be ints: {e!r}")
                 e = InternalEvent(e.label, tuple(e.params))
             else:

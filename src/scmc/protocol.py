@@ -151,16 +151,12 @@ def _unpack_queue(key: bytes) -> tuple[Msg, ...]:
 
 class PiranhaProtocol(MemorySystem):
     internal_events = {"ACKX": ("proc", "loc"), "ACKS": ("proc", "loc"), "UPD": ("proc",)}
+    v = 2  # the data domain {0, 1, 2} that the monitors need
 
     def __init__(
-        self,
-        n: int,
-        m: int,
-        v: int = 2,
-        queue_bound: int = DEFAULT_QUEUE_BOUND,
-        buggy: bool = False,
+        self, n: int, m: int, *, queue_bound: int = DEFAULT_QUEUE_BOUND, buggy: bool = False
     ):
-        params = Params(n, m, v)  # range validation
+        Params(n, m, self.v)  # range validation
         # before any table is built: a run's header may declare any n and m
         for name, value in (("n", n), ("m", m)):
             if value > MAX_PROCS_LOCS:
@@ -170,12 +166,12 @@ class PiranhaProtocol(MemorySystem):
                 )
         if queue_bound < 1:
             raise ParameterError(f"queue_bound must be >= 1, got {queue_bound}")
-        self.n, self.m, self.v = params.n, params.m, params.v
+        self.n, self.m = n, m
         self.queue_bound = queue_bound
         self.buggy = buggy
         # Events and messages are built once here; the tables are indexed by
         # 0-based processor and location, and reads and writes by data too.
-        procs, locs, data = range(1, n + 1), range(1, m + 1), range(v + 1)
+        procs, locs, data = range(1, n + 1), range(1, m + 1), range(self.v + 1)
         self._reads = tuple(
             tuple(tuple(MemoryEvent(READ, i, j, d) for d in data) for j in locs) for i in procs
         )
@@ -439,12 +435,12 @@ PROTOCOL_NAMES = ("piranha", "piranha-buggy")
 
 
 def make_protocol(
-    name: str, n: int, m: int, queue_bound: int = DEFAULT_QUEUE_BOUND, v: int = 2
+    name: str, n: int, m: int, queue_bound: int = DEFAULT_QUEUE_BOUND
 ) -> MemorySystem:
     if name == "piranha":
-        return PiranhaProtocol(n, m, v, queue_bound, buggy=False)
+        return PiranhaProtocol(n, m, queue_bound=queue_bound)
     if name == "piranha-buggy":
-        return PiranhaProtocol(n, m, v, queue_bound, buggy=True)
+        return PiranhaProtocol(n, m, queue_bound=queue_bound, buggy=True)
     raise ParameterError(f"unknown protocol {name!r} (expected one of {PROTOCOL_NAMES})")
 
 

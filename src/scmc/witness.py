@@ -7,12 +7,12 @@ program order.  Acyclicity of this graph certifies sequential consistency.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError, PreconditionError
 from .events import READ, WRITE, Trace
+from .protocol import _Memo
 
 
 class _lazy:
@@ -51,13 +51,14 @@ class ConstraintGraph:
     its processor and, at its location, a read's next write (the first
     write for a read of 0) or a write's readers and next write.  It has the
     reachability of the full graph and at most 3 * len(trace) edges.  The
-    indexes that it and the nice-cycle search use are built on first use,
-    once per graph, so callers that only query edge labels never pay for
-    them.  They are `_lazy` attributes, not `functools.cached_property`
-    ones: before Python 3.12 a cached_property takes a lock on each first
-    access (1.2 us against 0.3 us for `_lazy` on Python 3.11), and a graph
-    of a few events pays that once per index for an index that takes about
-    as long to build.
+    indexes that it and the nice-cycle search use (`_next_on_proc`,
+    `_readers`, `_components` and the `_loc_successors` memo) are built on
+    first use, once per graph, so callers that only query edge labels
+    never pay for them.  They are `_lazy` attributes, not
+    `functools.cached_property` ones: before Python 3.12 a cached_property
+    takes a lock on each first access (1.2 us against 0.3 us for `_lazy`
+    on Python 3.11), and a graph of a few events pays that once per index
+    for an index that takes about as long to build.
     """
 
     trace: Trace
@@ -99,14 +100,6 @@ class ConstraintGraph:
         while v:
             yield v
             v = following[v]
-
-    @_lazy
-    def _proc_loc_members(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """The events of each (processor, location) pair, ascending."""
-        members: dict[tuple[int, int], list[int]] = {}
-        for v, e in enumerate(self.trace.events, 1):
-            members.setdefault((e.proc, e.loc), []).append(v)
-        return {key: tuple(vs) for key, vs in members.items()}
 
     @_lazy
     def _readers(self) -> dict[int, list[int]]:
@@ -204,20 +197,15 @@ class ConstraintGraph:
         return component, cycle
 
     @_lazy
-    def _loc_succ_cache(self) -> dict[int, tuple[int, ...]]:
-        """`_loc_successors` by vertex, filled as the search asks."""
-        return {}
+    def _loc_successors(self) -> _Memo:
+        """Each u to every v with a location edge u -> v, ascending, on demand."""
+        events, level, members = self.trace.events, self.level, self.loc_members
 
-    def _loc_successors(self, u: int) -> tuple[int, ...]:
-        """Every v with a location edge u -> v, ascending."""
-        cache = self._loc_succ_cache
-        succs = cache.get(u)
-        if succs is None:
-            level = self.level
+        def later(u: int) -> tuple[int, ...]:
             low = level[u]
-            members = self.loc_members[self.trace.events[u - 1].loc]
-            succs = cache[u] = tuple(v for v in members if level[v] > low)
-        return succs
+            return tuple(v for v in members[events[u - 1].loc] if level[v] > low)
+
+        return _Memo(later)
 
 
 def build_constraint_graph(trace: Trace) -> ConstraintGraph:
@@ -348,9 +336,10 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
     u_x for x > 1 a location successor of v_{x-1}, and v_x a later event on
     u_x's processor.  The edge leaving v_x is labelled with v_x's location,
     and the closing edge v_k -> u_1 makes that u_1's location.  So v_x for
-    x < k skips u_1's location and those of v_1..v_{x-1}, and v_k is taken
-    only at u_1's location with an edge into u_1.  Only choices that cannot
-    close are skipped, so the first cycle found is the least one.
+    x < k skips u_1's location and those of v_1..v_{x-1}, and the same walk
+    closes the cycle at the first v_k at u_1's location with a lower level.
+    Only choices that cannot close are skipped, so the first cycle found is
+    the least one.
 
     Two cases follow from the levels.  Reads of one value have equal
     levels, so no location edge joins them either way, and neither can be
@@ -365,10 +354,11 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
     A nice cycle is a cycle of the graph, so its vertices share one strongly
     connected component (`ConstraintGraph._components`).  u_1 is taken only
     from vertices on some cycle, and every later vertex only from u_1's
-    component.  Those are choices that cannot close either, and the rest
-    keep their order, so the first cycle found is still the least one.  The
-    search stays inside one component, and on an acyclic graph it
-    enumerates nothing.
+    component; v_k needs no test, as its edge into u_1 puts it there.
+    Those are choices that cannot close either, and the rest keep their
+    order, so the first cycle found is still the least one.  The search
+    stays inside one component, and on an acyclic graph it enumerates
+    nothing.
     """
     params = graph.trace.params
     if not 1 <= k <= min(params.n, params.m):
@@ -390,27 +380,21 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
             if component[u] != comp:
                 continue
             home = events[first - 1].loc
-            if x == k:
-                column = graph._proc_loc_members.get((proc, home), ())
-                for v in column[bisect_right(column, u) :]:
-                    if level[v] < level[first] and component[v] == comp:
-                        return NiceCycle((*verts, u, v), (*procs, proc), (*locs, home))
-                continue
             verts.append(u)
             procs.append(proc)
             for v in graph._later_on_proc(u):
                 loc = events[v - 1].loc
-                if loc == home or loc in locs:
-                    continue
-                if component[v] != comp:
-                    continue
-                verts.append(v)
-                locs.append(loc)
-                found = extend(x + 1, graph._loc_successors(v))
-                if found is not None:
-                    return found
-                verts.pop()
-                locs.pop()
+                if x == k:  # the closing step, an edge v -> u_1
+                    if loc == home and level[v] < level[first]:
+                        return NiceCycle((*verts, v), tuple(procs), (*locs, home))
+                elif loc != home and loc not in locs and component[v] == comp:
+                    verts.append(v)
+                    locs.append(loc)
+                    found = extend(x + 1, graph._loc_successors[v])
+                    if found is not None:
+                        return found
+                    verts.pop()
+                    locs.pop()
             verts.pop()
             procs.pop()
         return None

@@ -130,3 +130,14 @@ def serial_trace(pairs: int) -> Trace:
     for d in range(1, pairs + 1):
         events += (MemoryEvent(WRITE, 1, 1, d), MemoryEvent(READ, 1, 1, d))
     return Trace(tuple(events), Params(1, 1, pairs))
+
+
+def store_buffer_ring(n: int) -> Trace:
+    """W(i,i,1) for each processor i, then R(i,i%n+1,0) for each i.
+
+    2n events in one strongly connected component whose least nice cycle
+    has k = n: (1, n+1, 2, n+2, ..., n, 2n).
+    """
+    writes = [MemoryEvent(WRITE, i, i, 1) for i in range(1, n + 1)]
+    reads = [MemoryEvent(READ, i, i % n + 1, 0) for i in range(1, n + 1)]
+    return Trace(tuple(writes + reads), Params(n, n, 1))

@@ -4,12 +4,13 @@ from scmc.events import READ, WRITE, MemoryEvent
 from scmc.protocol import MemorySystem
 
 
-class PrivilegedWriterProtocol(MemorySystem):
-    """Flat shared memory where only processor 1 may write.
+class SerialMemory(MemorySystem):
+    """Flat shared memory: every processor reads and writes one word per location.
 
-    Deliberately breaks processor symmetry (a run containing a write cannot
-    be replayed after a processor permutation moves it off processor 1)
-    while keeping causality intact.  State is the memory word per location.
+    A read returns the location's current word and a write of any of 0..v
+    replaces it, so every run is its own serialization: a known
+    sequentially consistent subject, symmetric in processors and locations.
+    State is the memory word per location.
     """
 
     internal_events: dict = {}
@@ -19,6 +20,9 @@ class PrivilegedWriterProtocol(MemorySystem):
             raise ParameterError("n, m, v must all be >= 1")
         self.n, self.m, self.v = n, m, v
 
+    def writers(self):
+        return range(1, self.n + 1)
+
     def initial_states(self):
         return ((0,) * self.m,)
 
@@ -27,11 +31,12 @@ class PrivilegedWriterProtocol(MemorySystem):
         for i in range(1, self.n + 1):
             for j in range(1, self.m + 1):
                 out.append((MemoryEvent(READ, i, j, state[j - 1]), state))
-        for j in range(1, self.m + 1):
-            for d in range(self.v + 1):
-                out.append(
-                    (MemoryEvent(WRITE, 1, j, d), state[: j - 1] + (d,) + state[j:])
-                )
+        for i in self.writers():
+            for j in range(1, self.m + 1):
+                for d in range(self.v + 1):
+                    out.append(
+                        (MemoryEvent(WRITE, i, j, d), state[: j - 1] + (d,) + state[j:])
+                    )
         return tuple(out)
 
     def permute_state(self, state, kind, perm):
@@ -43,6 +48,18 @@ class PrivilegedWriterProtocol(MemorySystem):
                 out[perm[j - 1] - 1] = state[j - 1]
             return tuple(out)
         raise ParameterError(f"unknown permutation kind {kind!r}")
+
+
+class PrivilegedWriterProtocol(SerialMemory):
+    """Flat shared memory where only processor 1 may write.
+
+    Deliberately breaks processor symmetry (a run containing a write cannot
+    be replayed after a processor permutation moves it off processor 1)
+    while keeping causality intact.
+    """
+
+    def writers(self):
+        return (1,)
 
 
 class HallucinatingReadProtocol(MemorySystem):

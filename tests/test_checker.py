@@ -31,7 +31,7 @@ from scmc.errors import DataIndependenceError
 from scmc.events import READ
 from scmc.protocol import PiranhaProtocol
 from scmc.witness import ConstraintGraph
-from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
+from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol, SerialMemory
 from reference_checker import automata, initial_monitors, monitor_step, reference_check
 from scmc.monitors import ERR
 
@@ -141,7 +141,7 @@ class TestModelCheck:
             model_check(p, 1, search="dfs")  # breadth-first is the only order
         with pytest.raises(ParameterError):
             model_check(p, 1, max_states=0)
-        wrong_v = make_protocol("piranha", 2, 2, 1, v=1)
+        wrong_v = PrivilegedWriterProtocol(2, 2, v=1)
         with pytest.raises(ParameterError):
             model_check(wrong_v, 1)
 
@@ -239,6 +239,13 @@ class TestAgainstReference:
         expected = reference_check(p, k, max_states=5000)
         assert (v.result, v.states, v.transitions, v.max_depth, run) == expected
 
+    # a sequentially consistent memory: both searches close the product
+    @pytest.mark.parametrize("n, m, k", SMALL)
+    def test_serial_memory_same_verdict(self, n, m, k):
+        p = SerialMemory(n, m)
+        v = model_check(p, k)
+        assert (v.result, v.states, v.transitions, v.max_depth, v.run) == reference_check(p, k)
+
     # a one-state protocol whose reads may return 1 without a write: the
     # product is the monitor vectors alone, so even k = 3 reaches the goal
     @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (3, 3, 2), (3, 3, 3)])
@@ -320,6 +327,18 @@ def search_graph(ids, roots, options):
         path = (node[root], events)
     result = (len(found.keys), found.transitions, found.max_depth, goal_node, path)
     return result + (found.exceeded, "".join(node[key] for key in found.keys))
+
+
+class TestSerialMemory:
+    """A known answer: a memory whose every run is serial has no violation."""
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_no_violation_at_every_k(self, n, m):
+        for k in range(1, min(n, m) + 1):
+            assert model_check(SerialMemory(n, m), k).result == NO_VIOLATION
+
+    def test_assumptions_hold(self):
+        assert validate_assumptions(SerialMemory(2, 2), depth=6).ok
 
 
 class TestSearchEngine:

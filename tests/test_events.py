@@ -69,6 +69,29 @@ class TestParams:
         with pytest.raises(ParameterError):
             Trace((InternalEvent("UPD", (1,)),), Params(1, 1, 1))
 
+    # a bool is an int subclass and 1.0 == 1, but neither round-trips
+    # through dumps_jsonl and loads_run_jsonl
+    def test_params_reject_bools(self):
+        for bounds in ((True, 1, 1), (1, True, 1), (1, 1, True), (2.0, 1, 1)):
+            with pytest.raises(ParameterError):
+                Params(*bounds)
+
+    def test_trace_rejects_bool_and_float_fields(self):
+        params = Params(2, 1, 1)
+        for event in (W(True, 1, 1), W(1, True, 1), W(1, 1, True), W(1, 1, 1.0), R(1.0, 1, 0)):
+            with pytest.raises(ParameterError):
+                Trace((event,), params)
+            with pytest.raises(ParameterError):
+                Run((event,), params)
+        with pytest.raises(ParameterError):
+            Trace((MemoryEvent("W", True, 1, 1.0),), params)
+
+    def test_run_rejects_bool_internal_params(self):
+        with pytest.raises(ParameterError):
+            Run((InternalEvent("UPD", (True,)),), Params(1, 1, 1))
+        with pytest.raises(ParameterError):
+            Run((InternalEvent("ACKX", (1, 1.0)),), Params(1, 1, 1))
+
 
 class TestProjection:
     def test_eight_event_run(self):

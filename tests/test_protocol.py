@@ -69,7 +69,15 @@ class TestConstruction:
 
     def test_bad_queue_bound(self):
         with pytest.raises(ParameterError):
-            PiranhaProtocol(2, 2, 2, queue_bound=0)
+            PiranhaProtocol(2, 2, queue_bound=0)
+
+    def test_data_domain_is_fixed(self):
+        # a third positional argument, once v, is not taken as queue_bound
+        assert make_protocol("piranha", 2, 2).v == 2
+        with pytest.raises(TypeError):
+            PiranhaProtocol(2, 2, 2)
+        with pytest.raises(TypeError):
+            make_protocol("piranha", 2, 2, 1, v=2)
 
 
 class TestReplay:

@@ -21,7 +21,7 @@ from scmc import witness
 from scmc.analysis import is_causal, is_unambiguous
 from scmc.errors import ParameterError
 from scmc.witness import ConstraintGraph
-from corpus import store_buffer_tail
+from corpus import store_buffer_ring, store_buffer_tail
 from reference_trace import expanded_order, permute_locs, permute_procs, positions
 from reference_witness import NaiveGraph, is_cycle_of
 from strategies import (
@@ -321,6 +321,18 @@ class TestNiceCycle:
         g = build_constraint_graph(VIOLATION)
         nc = find_minimal_nice_cycle(g)
         assert nc is not None and nc.k == 2
+
+    # the ring is one component with least k = n, so the search backtracks
+    # through every shorter alternation before it closes
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    def test_store_buffer_ring(self, n):
+        g = build_constraint_graph(store_buffer_ring(n))
+        nc = find_minimal_nice_cycle(g)
+        expected = tuple(v for i in range(1, n + 1) for v in (i, n + i))
+        assert nc == NiceCycle(expected, tuple(range(1, n + 1)), (*range(2, n + 1), 1))
+        assert nc.canonical and verify_nice_cycle(g, nc)
+        if n <= 12:
+            assert all(find_nice_cycle(g, k) is None for k in range(1, n))
 
     def test_verify_rejects_wrong_labels(self):
         g = build_constraint_graph(VIOLATION)
