@@ -24,6 +24,7 @@ from .analysis import (
 from .checker import (
     COUNTEREXAMPLE,
     DEFAULT_MAX_STATES,
+    DEFAULT_VALIDATION_DEPTH,
     INCONCLUSIVE,
     NO_VIOLATION,
     AssumptionReport,
@@ -69,7 +70,6 @@ from .protocol import (
     PiranhaProtocol,
     PiranhaState,
     make_protocol,
-    permute_run,
     replay,
     replay_unambiguous,
 )
@@ -94,6 +94,7 @@ __all__ = [
     "DataIndependenceError",
     "DEFAULT_MAX_STATES",
     "DEFAULT_QUEUE_BOUND",
+    "DEFAULT_VALIDATION_DEPTH",
     "DisabledEventError",
     "FormatError",
     "INCONCLUSIVE",
@@ -135,7 +136,6 @@ __all__ = [
     "loads_run_jsonl",
     "make_protocol",
     "model_check",
-    "permute_run",
     "project_trace",
     "replay",
     "replay_unambiguous",

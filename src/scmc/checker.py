@@ -14,10 +14,10 @@ import gc
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice, permutations, product
+from itertools import product
 from typing import NamedTuple, Optional
 
-from .errors import ParameterError, PreconditionError, ReplayError, SoundnessError
+from .errors import ParameterError, PreconditionError, SoundnessError
 from .events import (
     READ,
     Event,
@@ -29,7 +29,7 @@ from .events import (
     project_trace,
 )
 from .monitors import CheckAutomaton, ConstrainAutomaton, accepts
-from .protocol import MemorySystem, _Memo, replay, replay_unambiguous, permute_run
+from .protocol import MemorySystem, _Memo, permute_event, replay_unambiguous
 from .witness import NiceCycle, build_constraint_graph, verify_nice_cycle
 
 DEFAULT_MAX_STATES = 50_000_000
@@ -238,6 +238,11 @@ def _path(found: _Search, i: int) -> tuple[object, tuple[Event, ...]]:
     return found.keys[i], tuple(reversed(events))
 
 
+def _check_max_states(max_states) -> None:
+    if type(max_states) is not int or max_states < 1:
+        raise ParameterError(f"max_states must be an int >= 1, got {max_states!r}")
+
+
 @_gc_paused
 def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_STATES) -> Verdict:
     """Explore the monitor product at cycle size k until a violation or closure.
@@ -249,10 +254,9 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     if protocol.v != 2:
         raise ParameterError(f"monitor composition requires v = 2, protocol has v = {protocol.v}")
     k_max = min(protocol.n, protocol.m)
-    if not 1 <= k <= k_max:
-        raise ParameterError(f"k {k} outside 1..{k_max}")
-    if max_states < 1:
-        raise ParameterError(f"max_states must be >= 1, got {max_states}")
+    if type(k) is not int or not 1 <= k <= k_max:
+        raise ParameterError(f"k must be an int in 1..{k_max}, got {k!r}")
+    _check_max_states(max_states)
 
     # A product key is one int, pid * size + mid.  mid indexes `vectors`,
     # the tuples of monitor phases: one constraint per location, then one
@@ -346,6 +350,8 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
 @_gc_paused
 def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -> tuple[int, int]:
     """Reachable (states, transitions) of the bare protocol, no monitors."""
+    if max_states is not None:
+        _check_max_states(max_states)
     state_keys, ids = _numbering()  # id <-> protocol state key
 
     def expand(i: int):
@@ -380,8 +386,13 @@ class CausalityViolation:
 class SymmetryViolation:
     kind: str
     perm: tuple[int, ...]
-    failed_at: int
     run: Run
+
+    @property
+    def failed_at(self) -> int:
+        """The 1-based position, in the permuted run, of the first event the
+        permuted system does not match: the one after the run."""
+        return len(self.run) + 1
 
     def to_json(self) -> dict:
         return {
@@ -398,7 +409,6 @@ class AssumptionReport:
     nodes: int
     edges: int
     causality_violations: tuple[CausalityViolation, ...]
-    runs_sampled: int
     symmetry_checks: int
     symmetry_violations: tuple[SymmetryViolation, ...]
 
@@ -412,52 +422,77 @@ class AssumptionReport:
             "nodes": self.nodes,
             "edges": self.edges,
             "causality_violations": [v.to_json() for v in self.causality_violations],
-            "runs_sampled": self.runs_sampled,
             "symmetry_checks": self.symmetry_checks,
             "symmetry_violations": [v.to_json() for v in self.symmetry_violations],
             "ok": self.ok,
         }
 
 
+DEFAULT_VALIDATION_DEPTH = 6
 _VIOLATION_CAP = 20
-_RUN_SAMPLES = 200  # runs whose permutations validate_assumptions replays
-_MAX_PERMS = 6  # non-identity permutations per kind applied to each run
 
 
 @_gc_paused
 def validate_assumptions(
     protocol: MemorySystem,
-    depth: int = 10,
+    depth: int = DEFAULT_VALIDATION_DEPTH,
 ) -> AssumptionReport:
-    """Bounded empirical check of the causality and symmetry assumptions.
+    """Bounded check of the causality and symmetry assumptions.
 
     Explores all runs up to `depth` events, collapsed to (state, values
     written so far per location) nodes, which preserves exactly what the
     causality check depends on.  A read of a nonzero value never written to
-    its location is a causality violation in the run leading to it.  For a
-    deterministic sample of up to `_RUN_SAMPLES` runs, evenly spaced in
-    search order, the first `_MAX_PERMS` non-identity processor permutations
-    and the first `_MAX_PERMS` location permutations are each applied to the
-    whole run and to its initial state; failure to replay the permuted run
-    is a symmetry violation.  Neither sample size is a parameter.
+    its location is a causality violation in the run leading to it.
+
+    Symmetry is checked for each swap pi of two adjacent processors or two
+    adjacent locations.  pi must map the initial states onto themselves, and
+    each distinct protocol state s the search expands must have
+    successors(pi.s) equal to {(pi.e, pi.s2) for e, s2 in successors(s)}; a
+    failure is a symmetry violation in the run to s.  Swaps generate every
+    permutation, so if no check fails, every permutation of every run of at
+    most `depth` events is again a run from an initial state (Ip & Dill,
+    "Better verification through symmetry", FMSD 1996).
     """
-    if depth < 0:
-        raise ParameterError(f"depth must be >= 0, got {depth}")
+    if type(depth) is not int or depth < 0:
+        raise ParameterError(f"depth must be an int >= 0, got {depth!r}")
+    swaps = [
+        (kind, (*range(1, i), i + 1, i, *range(i + 2, size + 1)))
+        for kind, size in (("proc", protocol.n), ("loc", protocol.m))
+        for i in range(1, size)
+    ]
+    successors, permute_state = protocol.successors, protocol.permute_state
     empty_written = (frozenset(),) * protocol.m
     by_id, ids = _numbering()  # id <-> (state key, written)
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():
         roots.setdefault(ids[(protocol.encode_state(ps), empty_written)], ps)
     acausal: list[tuple[int, MemoryEvent]] = []  # (node id, read) pairs
+    initial = set(roots.values())
+    asymmetric = [  # (node id, kind, perm) triples
+        (i, kind, perm) for i, ps in roots.items() for kind, perm in swaps
+        if permute_state(ps, kind, perm) not in initial
+    ]
+    checked = set()  # the state keys whose successors were compared
 
     def expand(node_id: int):
         key, written = by_id[node_id]
-        for e, ps2 in protocol.successors(protocol.decode_state(key)):
+        state = protocol.decode_state(key)
+        succ = successors(state)
+        if key not in checked:
+            checked.add(key)
+            for kind, perm in swaps:
+                image = {
+                    (permute_event(protocol, e, kind, perm), permute_state(s2, kind, perm))
+                    for e, s2 in succ
+                }
+                if set(successors(permute_state(state, kind, perm))) != image:
+                    asymmetric.append((node_id, kind, perm))
+        for e, ps2 in succ:
             written2 = written
             if isinstance(e, MemoryEvent) and e.data != 0:
                 values = written[e.loc - 1]
                 if e.op == READ:
-                    if e.data not in values and len(acausal) < _VIOLATION_CAP:
+                    if e.data not in values:
                         acausal.append((node_id, e))
                 elif e.data not in values:
                     written2 = (
@@ -469,44 +504,19 @@ def validate_assumptions(
 
     found = _search(roots, expand, None, depth_limit=depth)
 
-    def run_to(i: int, *extra: Event) -> tuple[Run, object]:
-        root, events = _path(found, i)
-        run = Run(events + extra, Params(protocol.n, protocol.m, protocol.v))
-        return run, roots[root]
+    def run_to(i: int, *extra: Event) -> Run:
+        return Run(_path(found, i)[1] + extra, Params(protocol.n, protocol.m, protocol.v))
 
-    causality = []
-    for i, e in acausal:
-        run, _root = run_to(i, e)
-        causality.append(CausalityViolation(run))
-
-    nodes = len(found.keys)
-    sampled = range(nodes)[:: max(1, nodes // _RUN_SAMPLES)][:_RUN_SAMPLES]
-    # the first permutation is the identity
-    proc_perms = list(islice(permutations(range(1, protocol.n + 1)), 1, _MAX_PERMS + 1))
-    loc_perms = list(islice(permutations(range(1, protocol.m + 1)), 1, _MAX_PERMS + 1))
-
-    symmetry: list[SymmetryViolation] = []
-    checks = 0
-    for i in sampled:
-        run, root = run_to(i)
-        for kind, perms in (("proc", proc_perms), ("loc", loc_perms)):
-            for perm in perms:
-                checks += 1
-                permuted = permute_run(protocol, run, kind, perm)
-                permuted_init = protocol.permute_state(root, kind, perm)
-                try:
-                    replay(protocol, permuted, permuted_init)
-                except ReplayError as exc:
-                    if len(symmetry) < _VIOLATION_CAP:
-                        symmetry.append(
-                            SymmetryViolation(kind, perm, exc.index, run)
-                        )
     return AssumptionReport(
         depth=depth,
-        nodes=nodes,
+        nodes=len(found.keys),
         edges=found.transitions,
-        causality_violations=tuple(causality),
-        runs_sampled=len(sampled),
-        symmetry_checks=checks,
-        symmetry_violations=tuple(symmetry),
+        causality_violations=tuple(
+            CausalityViolation(run_to(i, e)) for i, e in acausal[:_VIOLATION_CAP]
+        ),
+        symmetry_checks=len(swaps) * (len(roots) + len(checked)),
+        symmetry_violations=tuple(
+            SymmetryViolation(kind, perm, run_to(i))
+            for i, kind, perm in asymmetric[:_VIOLATION_CAP]
+        ),
     )

@@ -4,8 +4,8 @@ Subcommands: check (product model checking), analyze (constraint-graph
 analysis of a trace file), oracle (exhaustive sequential-consistency
 decision for short traces), replay (run a recorded event sequence on a
 protocol), validate-assumptions (bounded causality/symmetry validation; it
-replays a fixed sample of runs under a fixed number of permutations, see
-`checker.validate_assumptions`, and neither size is an option).
+checks every protocol state it reaches against each swap of two adjacent
+processors or locations, see `checker.validate_assumptions`).
 
 Each subparser names its handler, a `cmd_*` function that takes the parsed
 namespace; `main` parses, calls the handler and maps errors to exit codes.
@@ -32,6 +32,7 @@ from .analysis import ORACLE_BOUND_DEFAULT, check_sc_oracle, is_causal, is_unamb
 from .checker import (
     COUNTEREXAMPLE,
     DEFAULT_MAX_STATES,
+    DEFAULT_VALIDATION_DEPTH,
     INCONCLUSIVE,
     Verdict,
     model_check,
@@ -370,7 +371,7 @@ def cmd_validate_assumptions(args: argparse.Namespace) -> int:
     lines = [
         f"explored {report.nodes} nodes / {report.edges} edges to depth {report.depth}",
         f"causality violations: {len(report.causality_violations)}",
-        f"symmetry checks: {report.symmetry_checks} on {report.runs_sampled} runs,"
+        f"symmetry checks: {report.symmetry_checks},"
         f" violations: {len(report.symmetry_violations)}",
     ]
     for v in report.causality_violations[:5]:
@@ -380,7 +381,7 @@ def cmd_validate_assumptions(args: argparse.Namespace) -> int:
         )
     for v in report.symmetry_violations[:5]:
         lines.append(
-            f"  symmetry: {v.kind} permutation {v.perm} fails to replay at event {v.failed_at}"
+            f"  symmetry: {v.kind} swap {v.perm} fails on the state after {len(v.run)} events"
         )
     lines.append("ok" if report.ok else "violations found")
     _emit(report.to_json(), lines, args)
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=Config.n)
     p.add_argument("--m", type=int, default=Config.m)
     p.add_argument("--queue-bound", type=int, default=Config.queue_bound)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=DEFAULT_VALIDATION_DEPTH)
     return parser
 
 

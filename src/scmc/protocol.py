@@ -164,8 +164,8 @@ class PiranhaProtocol(MemorySystem):
                     f"{name} must be at most {MAX_PROCS_LOCS}, got {value}: packed states"
                     " keep processor ids and locations in one byte each"
                 )
-        if queue_bound < 1:
-            raise ParameterError(f"queue_bound must be >= 1, got {queue_bound}")
+        if type(queue_bound) is not int or queue_bound < 1:
+            raise ParameterError(f"queue_bound must be an int >= 1, got {queue_bound!r}")
         self.n, self.m = n, m
         self.queue_bound = queue_bound
         self.buggy = buggy
@@ -402,33 +402,23 @@ class PiranhaProtocol(MemorySystem):
         return state
 
     def permute_state(self, state: PiranhaState, kind: str, perm: Sequence[int]):
+        if kind not in ("proc", "loc"):
+            raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
+        perm = check_permutation(perm, self.n if kind == "proc" else self.m)
+        # new id y takes over what old id source[y - 1] + 1 held
+        source = sorted(range(len(perm)), key=perm.__getitem__)
         cache, owner, inq = state
         if kind == "proc":
-            perm = check_permutation(perm, self.n)
-            new_cache: list = [None] * self.n
-            new_inq: list = [None] * self.n
-            for i in range(1, self.n + 1):
-                new_cache[perm[i - 1] - 1] = cache[i - 1]
-                new_inq[perm[i - 1] - 1] = inq[i - 1]
-            new_owner = tuple(0 if o == 0 else perm[o - 1] for o in owner)
-            return PiranhaState(tuple(new_cache), new_owner, tuple(new_inq))
-        if kind == "loc":
-            perm = check_permutation(perm, self.m)
-            new_cache = []
-            for row in cache:
-                new_row: list = [None] * self.m
-                for j in range(1, self.m + 1):
-                    new_row[perm[j - 1] - 1] = row[j - 1]
-                new_cache.append(tuple(new_row))
-            new_owner_list: list = [0] * self.m
-            for j in range(1, self.m + 1):
-                new_owner_list[perm[j - 1] - 1] = owner[j - 1]
-            new_inq = tuple(
-                tuple(Msg(msg.kind, perm[msg.addr - 1], msg.data) for msg in queue)
-                for queue in inq
+            return PiranhaState(
+                tuple([cache[x] for x in source]),
+                tuple([o and perm[o - 1] for o in owner]),
+                tuple([inq[x] for x in source]),
             )
-            return PiranhaState(tuple(new_cache), tuple(new_owner_list), new_inq)
-        raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
+        return PiranhaState(
+            tuple([tuple([row[x] for x in source]) for row in cache]),
+            tuple([owner[x] for x in source]),
+            tuple([tuple([Msg(k, perm[a - 1], d) for k, a, d in queue]) for queue in inq]),
+        )
 
 
 PROTOCOL_NAMES = ("piranha", "piranha-buggy")
@@ -531,33 +521,20 @@ def check_permutation(perm: Sequence[int], size: int) -> tuple[int, ...]:
     return perm
 
 
-def permute_run(protocol: MemorySystem, run: Run, kind: str, perm: Sequence[int]) -> Run:
-    """Apply a processor or location permutation to every event of a run.
+def permute_event(protocol: MemorySystem, e: Event, kind: str, perm: tuple[int, ...]) -> Event:
+    """e with every parameter of the given kind, "proc" or "loc", mapped
+    through perm, a permutation that check_permutation accepted.
 
     Internal events are mapped through the protocol's declared parameter
     kinds, so only parameters of the permuted kind change.
     """
-    if kind not in ("proc", "loc"):
-        raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
-    size = protocol.n if kind == "proc" else protocol.m
-    perm = check_permutation(perm, size)
-    out: list[Event] = []
-    for e in run.events:
-        if isinstance(e, MemoryEvent):
-            if kind == "proc":
-                e = MemoryEvent(e.op, perm[e.proc - 1], e.loc, e.data)
-            else:
-                e = MemoryEvent(e.op, e.proc, perm[e.loc - 1], e.data)
-        else:
-            kinds = protocol.internal_events.get(e.label)
-            if kinds is None or len(kinds) != len(e.params):
-                raise ParameterError(f"undeclared internal event {e!r}")
-            e = InternalEvent(
-                e.label,
-                tuple(
-                    perm[p - 1] if pk == kind else p
-                    for p, pk in zip(e.params, kinds)
-                ),
-            )
-        out.append(e)
-    return Run(tuple(out), run.params)
+    if isinstance(e, MemoryEvent):
+        if kind == "proc":
+            return MemoryEvent(e.op, perm[e.proc - 1], e.loc, e.data)
+        return MemoryEvent(e.op, e.proc, perm[e.loc - 1], e.data)
+    kinds = protocol.internal_events.get(e.label)
+    if kinds is None or len(kinds) != len(e.params):
+        raise ParameterError(f"undeclared internal event {e!r}")
+    return InternalEvent(
+        e.label, tuple(perm[p - 1] if pk == kind else p for p, pk in zip(e.params, kinds))
+    )

@@ -1,7 +1,7 @@
 """Miniature memory systems used to exercise the assumption validator."""
 from scmc.errors import ParameterError
-from scmc.events import READ, WRITE, MemoryEvent
-from scmc.protocol import MemorySystem
+from scmc.events import READ, WRITE, InternalEvent, MemoryEvent
+from scmc.protocol import MemorySystem, PiranhaProtocol
 
 
 class SerialMemory(MemorySystem):
@@ -89,3 +89,55 @@ class HallucinatingReadProtocol(MemorySystem):
 
     def permute_state(self, state, kind, perm):
         return state
+
+
+class _FilteredPiranha(PiranhaProtocol):
+    """Piranha 2x2 with queue bound 3, less one event in some states.
+
+    `successors`, the relation model_check searches, leaves out every pair
+    whose event `drops` names.  `step` keeps Piranha's own guards, as a
+    second copy of the guards can drift from `successors`, so replaying a
+    run through `step` cannot see the asymmetry.  Each subclass breaks
+    symmetry only in states a few events deep.
+    """
+
+    def __init__(self):
+        super().__init__(2, 2, queue_bound=3)
+
+    def drops(self, state, e) -> bool:
+        raise NotImplementedError
+
+    def successors(self, state):
+        return tuple(pair for pair in super().successors(state) if not self.drops(state, pair[0]))
+
+
+class FullQueueStallsProtocol(_FilteredPiranha):
+    """UPD(2) is disabled while processor 2's queue is full."""
+
+    def drops(self, state, e):
+        return e == InternalEvent("UPD", (2,)) and len(state.inq[1]) == self.queue_bound
+
+
+class OwnerBlocksGrantProtocol(_FilteredPiranha):
+    """ACKX(2, 2) is disabled while processor 1 owns location 1."""
+
+    def drops(self, state, e):
+        return e == InternalEvent("ACKX", (2, 2)) and state.owner[0] == 1
+
+
+class CopyBlocksWriteProtocol(_FilteredPiranha):
+    """W(2, 2, 2) is disabled while processor 1's copy of location 1 holds 2."""
+
+    def drops(self, state, e):
+        return e == MemoryEvent(WRITE, 2, 2, 2) and state.cache[0][0][0] == 2
+
+
+class PartialOwnersProtocol(PiranhaProtocol):
+    """Piranha 2x2 with queue bound 3 whose only initial owner vectors are
+    (1, 1) and (1, 2), a set neither swap maps onto itself."""
+
+    def __init__(self):
+        super().__init__(2, 2, queue_bound=3)
+
+    def initial_states(self):
+        return (self.initial_state((1, 1)), self.initial_state((1, 2)))

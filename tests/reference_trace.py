@@ -2,13 +2,27 @@
 
 The paper defines data independence by renaming data values and uses
 processor and location symmetry in its proofs; scmc's program paths do
-that work on runs (`replay_unambiguous`, `permute_run`).  These are the
-same notions on traces, without input checks: a renaming is a dict from
-(location, value) to value, and a permutation is a tuple whose i-th entry
-is the image of i.
+that work on runs and states (`replay_unambiguous`, `permute_event`,
+`permute_state`).  Apart from `permute_run`, these are the same notions on
+traces, without input checks: a renaming is a dict from (location, value)
+to value, and a permutation is a tuple whose i-th entry is the image of i.
 """
 from scmc import build_constraint_graph
-from scmc.events import MemoryEvent, Params, Trace
+from scmc.errors import ParameterError
+from scmc.events import MemoryEvent, Params, Run, Trace
+from scmc.protocol import check_permutation, permute_event
+
+
+def permute_run(protocol, run: Run, kind: str, perm) -> Run:
+    """Apply a processor or location permutation to every event of a run.
+
+    The run-level form of the symmetry that `validate_assumptions` checks
+    one state and one swap at a time.  kind and perm are checked.
+    """
+    if kind not in ("proc", "loc"):
+        raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
+    perm = check_permutation(perm, protocol.n if kind == "proc" else protocol.m)
+    return Run(tuple(permute_event(protocol, e, kind, perm) for e in run.events), run.params)
 
 
 def positions(trace: Trace, **fields) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 
 import pytest
@@ -31,8 +32,17 @@ from scmc.errors import DataIndependenceError
 from scmc.events import READ
 from scmc.protocol import PiranhaProtocol
 from scmc.witness import ConstraintGraph
-from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol, SerialMemory
+from fixtures import (
+    CopyBlocksWriteProtocol,
+    FullQueueStallsProtocol,
+    HallucinatingReadProtocol,
+    OwnerBlocksGrantProtocol,
+    PartialOwnersProtocol,
+    PrivilegedWriterProtocol,
+    SerialMemory,
+)
 from reference_checker import automata, initial_monitors, monitor_step, reference_check
+from reference_trace import permute_run
 from scmc.monitors import ERR
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
@@ -48,6 +58,26 @@ RUN12 = Run(
     ),
     Params(2, 2, 1),
 )
+
+
+def runs_across_search(protocol, depth, count):
+    """(initial state, run) pairs for about `count` protocol states spread
+    evenly over a breadth-first search of `depth` levels; each run is the
+    first path the search found to its state."""
+    paths = {s: (s, ()) for s in protocol.initial_states()}
+    frontier = list(paths)
+    for _ in range(depth):
+        reached = []
+        for state in frontier:
+            root, events = paths[state]
+            for e, s2 in protocol.successors(state):
+                if s2 not in paths:
+                    paths[s2] = (root, events + (e,))
+                    reached.append(s2)
+        frontier = reached
+    params = Params(protocol.n, protocol.m, protocol.v)
+    found = list(paths.values())
+    return [(root, Run(events, params)) for root, events in found[:: len(found) // count]]
 
 
 def assert_valid_counterexample(protocol, verdict):
@@ -144,6 +174,15 @@ class TestModelCheck:
         wrong_v = PrivilegedWriterProtocol(2, 2, v=1)
         with pytest.raises(ParameterError):
             model_check(wrong_v, 1)
+
+    @pytest.mark.parametrize(
+        "k, max_states", [(True, 100), (1.0, 100), ("1", 100), (1, 2.5), (1, True)]
+    )
+    def test_k_and_max_states_must_be_ints(self, k, max_states):
+        # a bool k would search and report "k": true
+        p = make_protocol("piranha", 2, 2, 1)
+        with pytest.raises(ParameterError):
+            model_check(p, k, max_states=max_states)
 
     def test_verdict_json_shape(self):
         p = make_protocol("piranha-buggy", 2, 2, 2)
@@ -553,6 +592,17 @@ class TestExploreProtocol:
         with pytest.raises(ParameterError):
             explore_protocol(p, max_states=10)
 
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, 10.0, True])
+    def test_bad_cap_rejected_before_the_search(self, cap):
+        p = make_protocol("piranha", 2, 2, 1)
+
+        def successors(state):
+            pytest.fail("searched with a bad max_states")
+
+        p.successors = successors
+        with pytest.raises(ParameterError):
+            explore_protocol(p, max_states=cap)
+
 
 class TestValidateAssumptions:
     def test_piranha_clean(self):
@@ -561,11 +611,17 @@ class TestValidateAssumptions:
         assert report.ok
         assert report.nodes > 0 and report.edges > 0
         assert report.symmetry_checks > 0
-        for name, nodes, edges in (("piranha", 2142, 7652), ("piranha-buggy", 3178, 9604)):
-            report = validate_assumptions(make_protocol(name, 2, 2, 3), depth=6)
+        for name, depth, nodes, edges, checks in (
+            ("piranha", 6, 2142, 7652, 1436),
+            ("piranha-buggy", 6, 3178, 9604, 1932),
+            ("piranha", 10, 19302, 86680, 9084),
+        ):
+            report = validate_assumptions(make_protocol(name, 2, 2, 3), depth=depth)
             assert report.ok
             assert (report.nodes, report.edges) == (nodes, edges)
-            assert (report.runs_sampled, report.symmetry_checks) == (200, 400)
+            # two swaps, one of processors and one of locations, on each of
+            # the 4 initial states and each distinct protocol state expanded
+            assert report.symmetry_checks == checks
 
     def test_depth_zero_empty(self):
         p = make_protocol("piranha", 2, 2, 2)
@@ -582,7 +638,11 @@ class TestValidateAssumptions:
         assert not report.causality_violations
         report = validate_assumptions(fixture, depth=4)
         assert (report.nodes, report.edges) == (55, 350)
-        assert len(report.symmetry_violations) == 20
+        # two swaps on the one initial state and on each of the 9 memory
+        # states; the processor swap fails on each state that has a write
+        assert report.symmetry_checks == 20
+        assert len(report.symmetry_violations) == 9
+        assert {v.perm for v in report.symmetry_violations} == {(2, 1)}
 
     def test_acausal_fixture_flagged(self):
         fixture = HallucinatingReadProtocol()
@@ -605,6 +665,71 @@ class TestValidateAssumptions:
         first = d["symmetry_violations"][0]
         assert set(first) == {"kind", "perm", "failed_at", "run"}
 
+    @pytest.mark.parametrize(
+        "fixture, kinds, checks, failed_at",
+        [
+            (FullQueueStallsProtocol, {"proc"}, 1436, 5),
+            (OwnerBlocksGrantProtocol, {"proc", "loc"}, 1254, 1),
+            (CopyBlocksWriteProtocol, {"proc", "loc"}, 1436, 6),
+            (PartialOwnersProtocol, {"proc", "loc"}, 874, 1),
+        ],
+    )
+    def test_asymmetric_piranha_flagged(self, fixture, kinds, checks, failed_at):
+        # each breaks symmetry only in states a few events deep, or only in
+        # its set of initial states; a sample of permuted replays passes all four
+        report = validate_assumptions(fixture(), depth=6)
+        assert not report.ok
+        assert not report.causality_violations
+        assert report.symmetry_checks == checks
+        assert {v.kind for v in report.symmetry_violations} == kinds
+        assert report.symmetry_violations[0].failed_at == failed_at
+
+    def test_initial_states_must_map_onto_themselves(self):
+        report = validate_assumptions(PartialOwnersProtocol(), depth=0)
+        assert report.nodes == 2 and report.symmetry_checks == 4
+        # owners (1, 1) and (1, 2) go to (2, 2) and (2, 1) under the
+        # processor swap; (1, 2) goes to (2, 1) under the location swap
+        assert [(v.kind, v.run.events) for v in report.symmetry_violations] == [
+            ("proc", ()), ("proc", ()), ("loc", ())
+        ]
+
+    @pytest.mark.parametrize(
+        "name, n, m, q",
+        [
+            (name, *size)
+            for name in ("piranha", "piranha-buggy")
+            for size in ((2, 2, 3), (3, 2, 1), (2, 3, 1))
+        ],
+    )
+    def test_swaps_stand_in_for_every_permutation(self, name, n, m, q):
+        # where the local check passes, every one of the n! * m! joint
+        # permutations of runs spread across the search replays from the
+        # permuted initial state, and ends in the permuted final state
+        p = make_protocol(name, n, m, q)
+        assert validate_assumptions(p, depth=6).ok
+        initial = set(p.initial_states())
+        perms = list(itertools.product(
+            itertools.permutations(range(1, n + 1)), itertools.permutations(range(1, m + 1))
+        ))
+        runs = runs_across_search(p, depth=6, count=40)
+        assert len(runs) >= 40
+        for root, run in runs:
+            final = replay(p, run, root)
+            for proc_perm, loc_perm in perms:
+                image = permute_run(p, permute_run(p, run, "proc", proc_perm), "loc", loc_perm)
+                image_root, image_final = (
+                    p.permute_state(p.permute_state(s, "proc", proc_perm), "loc", loc_perm)
+                    for s in (root, final)
+                )
+                assert image_root in initial
+                assert replay(p, image, image_root) == image_final
+
     def test_negative_depth(self):
         with pytest.raises(ParameterError):
             validate_assumptions(PrivilegedWriterProtocol(), depth=-1)
+
+    @pytest.mark.parametrize("depth", [2.5, 1.0, True, "2"])
+    def test_depth_must_be_an_int(self, depth):
+        # a float depth would never equal a level: 2.5 would explore every state
+        with pytest.raises(ParameterError):
+            validate_assumptions(PrivilegedWriterProtocol(), depth=depth)

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scmc import (
+    DEFAULT_VALIDATION_DEPTH,
     FormatError,
     InternalEvent,
     ParameterError,
@@ -25,6 +26,8 @@ from scmc import (
     build_constraint_graph,
     dumps_jsonl,
     loads_run_jsonl,
+    make_protocol,
+    validate_assumptions,
 )
 from scmc import cli
 from scmc.cli import (
@@ -458,9 +461,16 @@ class TestValidateAssumptions:
         assert payload["symmetry_violations"] == []
         assert payload["nodes"] > 0 and payload["symmetry_checks"] > 0
 
+    def test_default_depth_is_the_library_default(self, capsys):
+        code, payload = run_json(capsys, ["validate-assumptions"])
+        report = validate_assumptions(make_protocol("piranha", 2, 2))
+        assert code == EXIT_OK
+        assert payload["depth"] == report.depth == DEFAULT_VALIDATION_DEPTH == 6
+        assert payload == report.to_json()
+
     @pytest.mark.parametrize("flag", ["--samples", "--max-perms"])
     def test_sampling_flags_removed(self, flag, capsys):
-        # the sample sizes are fixed in checker.validate_assumptions
+        # the symmetry check is exhaustive up to --depth, so it has no sample
         with pytest.raises(SystemExit) as exc:
             main(["validate-assumptions", "--depth", "1", flag, "40"])
         assert exc.value.code == EXIT_USAGE
@@ -479,8 +489,8 @@ JSON_KEYS = {
         "final_state", "unambiguous_trace",
     ],
     "validate-assumptions": [
-        "depth", "nodes", "edges", "causality_violations", "runs_sampled",
-        "symmetry_checks", "symmetry_violations", "ok",
+        "depth", "nodes", "edges", "causality_violations", "symmetry_checks",
+        "symmetry_violations", "ok",
     ],
 }
 

@@ -13,13 +13,13 @@ from scmc import (
     ReplayError,
     Run,
     make_protocol,
-    permute_run,
     project_trace,
     replay,
     replay_unambiguous,
 )
-from scmc.protocol import EXC, INV, SHD
+from scmc.protocol import EXC, INV, SHD, permute_event
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
+from reference_trace import permute_run
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
 R = lambda p, l, d: MemoryEvent("R", p, l, d)
@@ -70,6 +70,14 @@ class TestConstruction:
     def test_bad_queue_bound(self):
         with pytest.raises(ParameterError):
             PiranhaProtocol(2, 2, queue_bound=0)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True, "3"])
+    def test_queue_bound_must_be_an_int(self, bound):
+        # a float bound would act as the next int up: 2.5 as 3
+        with pytest.raises(ParameterError):
+            PiranhaProtocol(2, 2, queue_bound=bound)
+        with pytest.raises(ParameterError):
+            make_protocol("piranha", 2, 2, bound)
 
     def test_data_domain_is_fixed(self):
         # a third positional argument, once v, is not taken as queue_bound
@@ -391,6 +399,24 @@ class TestSymmetry:
         s = p.initial_state((2, 1))
         assert p.permute_state(s, "proc", (2, 1)).owner == (1, 2)
         assert p.permute_state(s, "loc", (2, 1)).owner == (1, 2)
+
+    def test_permute_event(self):
+        p = make_protocol("piranha", 3, 2)
+        assert permute_event(p, W(1, 2, 1), "proc", (3, 1, 2)) == W(3, 2, 1)
+        assert permute_event(p, W(1, 2, 1), "loc", (2, 1)) == W(1, 1, 1)
+        # only the parameters of the permuted kind move
+        assert permute_event(p, ACKX(1, 2), "proc", (2, 3, 1)) == ACKX(2, 2)
+        assert permute_event(p, ACKX(1, 2), "loc", (2, 1)) == ACKX(1, 1)
+        assert permute_event(p, UPD(3), "loc", (2, 1)) == UPD(3)
+        assert permute_event(p, UPD(3), "proc", (2, 3, 1)) == UPD(1)
+
+    @pytest.mark.parametrize(
+        "label, params", [("FLUSH", (1,)), ("ACKX", (1,)), ("UPD", (1, 1))]
+    )
+    def test_permute_event_rejects_undeclared_internal_events(self, label, params):
+        p = make_protocol("piranha", 2, 2)
+        with pytest.raises(ParameterError):
+            permute_event(p, InternalEvent(label, params), "proc", (2, 1))
 
     @pytest.mark.parametrize("perm", [(1.0, 2.0), (True, 2), (2, True)])
     def test_permutation_entries_must_be_ints(self, perm):
