@@ -33,7 +33,7 @@ def show(args) -> int:
     automata += [CheckAutomaton(i, args.k) for i in range(1, args.k + 1)]
     phases = [a.initial() for a in automata]
 
-    print(f"\ninitial owners: {verdict.initial_state.owner}")
+    print(f"\ninitial owners: {protocol.view(verdict.initial_state).owner}")
     print(f"run ({len(verdict.run)} events):")
     labels = [f"Constrain({j})" for j in range(1, args.m + 1)]
     labels += [f"Check({i})" for i in range(1, args.k + 1)]

@@ -51,6 +51,7 @@ class Verdict:
     cycle: Optional[NiceCycle] = None
     trace: Optional[Trace] = None
     initial_state: Optional[object] = None
+    initial_owners: Optional[tuple[int, ...]] = None  # the initial state's, if it has any
 
     def to_json(self) -> dict:
         out: dict = {
@@ -70,9 +71,8 @@ class Verdict:
             out["cycle"] = self.cycle.to_json()
         if self.trace is not None:
             out["unambiguous_trace"] = [event_to_json(e) for e in self.trace.events]
-        owner = getattr(self.initial_state, "owner", None)
-        if owner is not None:
-            out["initial_owners"] = list(owner)
+        if self.initial_owners is not None:
+            out["initial_owners"] = list(self.initial_owners)
         return out
 
 
@@ -264,8 +264,8 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     # after the event (None: a constraint blocks it).  pid numbers the
     # protocol state keys of the initial states, then of each expanded
     # state's successors in order, skipping successors whose event every
-    # vector blocks; `state_keys` keeps each key, turned back into a state
-    # by decode_state on demand.
+    # vector blocks; `state_keys` keeps each key.  A key is the state itself
+    # (encode_state and decode_state are the identity).
     # Keys stay below (number of pids) * size, so the visited bitmap needs
     # about size bits per protocol state.
     automata = [ConstrainAutomaton(j, k) for j in range(1, protocol.m + 1)]
@@ -299,9 +299,10 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
             succ_cache.clear()
         x = state_keys[base // size]
         # A successor every monitor vector blocks, such as a write of 1 or
-        # 2 to a location above k, is never numbered or cached.  Its state
-        # is still encoded only because perfbench gates encode_state's
-        # call count; dropping that call waits for the gate to count the
+        # 2 to a location above k, is never numbered or cached.  encode and
+        # decode are the identity; they are still called, on every
+        # successor and expanded state, only because perfbench gates their
+        # call counts.  Dropping the calls waits for the gate to count the
         # search's own work.
         pairs = [(edges[e], encode(ps2)) for e, ps2 in successors(decode(x))]
         # flat, two entries per edge, and keyed by the memo's own int, so
@@ -344,7 +345,10 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     init = roots[root]
     run = Run(path, Params(protocol.n, protocol.m, 2))
     trace, cycle = extract_cycle(protocol, run, init, k)
-    return Verdict(k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init)
+    owners = getattr(protocol.view(init), "owner", None)
+    return Verdict(
+        k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init, owners
+    )
 
 
 @_gc_paused
@@ -405,16 +409,21 @@ class SymmetryViolation:
 
 @dataclass(frozen=True)
 class AssumptionReport:
+    """What validate_assumptions found.  The violation tuples keep at most
+    the first 20 of each kind; the totals count them all."""
+
     depth: int
     nodes: int
     edges: int
     causality_violations: tuple[CausalityViolation, ...]
     symmetry_checks: int
     symmetry_violations: tuple[SymmetryViolation, ...]
+    causality_total: int
+    symmetry_total: int
 
     @property
     def ok(self) -> bool:
-        return not self.causality_violations and not self.symmetry_violations
+        return not self.causality_total and not self.symmetry_total
 
     def to_json(self) -> dict:
         return {
@@ -422,8 +431,10 @@ class AssumptionReport:
             "nodes": self.nodes,
             "edges": self.edges,
             "causality_violations": [v.to_json() for v in self.causality_violations],
+            "causality_total": self.causality_total,
             "symmetry_checks": self.symmetry_checks,
             "symmetry_violations": [v.to_json() for v in self.symmetry_violations],
+            "symmetry_total": self.symmetry_total,
             "ok": self.ok,
         }
 
@@ -519,4 +530,6 @@ def validate_assumptions(
             SymmetryViolation(kind, perm, run_to(i))
             for i, kind, perm in asymmetric[:_VIOLATION_CAP]
         ),
+        causality_total=len(acausal),
+        symmetry_total=len(asymmetric),
     )

@@ -160,6 +160,7 @@ def _load_run(path: str) -> Run:
 
 
 def state_to_json(state: PiranhaState) -> dict:
+    """A Piranha state's view (`PiranhaProtocol.view`) as JSON."""
     return {
         "cache": [
             [{"data": d, "status": STATUS_NAMES[s]} for (d, s) in row]
@@ -341,7 +342,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     }
     lines = [f"replaying {len(run.events)} events on {args.protocol}, owners {owners}"]
     try:
-        final = replay(protocol, run, initial)
+        final = protocol.view(replay(protocol, run, initial))
     except ReplayError as exc:
         payload.update(ok=False, failed_at=exc.index)
         lines.append(f"replay failed at event index {exc.index}: {exc}")
@@ -370,9 +371,8 @@ def cmd_validate_assumptions(args: argparse.Namespace) -> int:
     report = validate_assumptions(protocol, depth=args.depth)
     lines = [
         f"explored {report.nodes} nodes / {report.edges} edges to depth {report.depth}",
-        f"causality violations: {len(report.causality_violations)}",
-        f"symmetry checks: {report.symmetry_checks},"
-        f" violations: {len(report.symmetry_violations)}",
+        f"causality violations: {report.causality_total}",
+        f"symmetry checks: {report.symmetry_checks}, violations: {report.symmetry_total}",
     ]
     for v in report.causality_violations[:5]:
         lines.append(

@@ -8,7 +8,8 @@ location in state INV, SHD or EXC, requests travel through per-processor
 FIFO queues as ACKS/ACKX/INVAL messages, and a per-location owner variable
 serializes requests (owner 0 means a request is in flight).  The buggy
 variant omits the owner reset in the shared-access grant, which lets a
-second grant race the first one's acknowledgment.
+second grant race the first one's acknowledgment.  A Piranha state is
+one bytes object, its packed layout; `PiranhaState` is its readable view.
 
 Queues are bounded by guard strengthening: an event whose body would append
 to a full queue is disabled, never an error.
@@ -16,7 +17,6 @@ to a full queue is disabled, never an error.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import partial
 from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -44,7 +44,8 @@ ACKS_MSG, ACKX_MSG, INVAL_MSG = 0, 1, 2
 MSG_NAMES = ("ACKS", "ACKX", "INVAL")
 
 DEFAULT_QUEUE_BOUND = 3
-MAX_PROCS_LOCS = 255  # the largest n and m that encode_state can pack
+MAX_PROCS_LOCS = 255  # the largest n and m a state can hold: one byte each
+MAX_DATA = 255  # the largest data value a state can hold
 
 
 class Msg(NamedTuple):
@@ -56,7 +57,10 @@ class Msg(NamedTuple):
 
 
 class PiranhaState(NamedTuple):
-    """cache[i-1][j-1] is a (data, status) pair; owner[j-1] is 0 or a processor."""
+    """The readable view of a Piranha state (`PiranhaProtocol.view`).
+
+    cache[i-1][j-1] is a (data, status) pair; owner[j-1] is 0 or a processor.
+    """
 
     cache: tuple[tuple[tuple[int, int], ...], ...]
     owner: tuple[int, ...]
@@ -69,11 +73,13 @@ class MemorySystem(ABC):
     A system gives its initial states and `successors`, the transition
     relation: the enabled events of a state, each with its successor.
     `step` derives from it, and a system may override `step` with a direct
-    guard check.  States must be hashable.
-    Searches keep the key encode_state(s) and rebuild s with decode_state,
-    so decode_state(encode_state(s)) must equal s.  The base-class key is
-    the state itself; a system may override both methods to pack its
-    states, as PiranhaProtocol does to save memory.
+    guard check.  States must be hashable; searches key on them.
+    `view` gives a state's readable form, the state itself unless a system
+    keeps its states packed, as PiranhaProtocol does.
+    The searches call encode_state on every state they reach and
+    decode_state on every state they expand.  Both are the identity, and no
+    system overrides them; the calls stay only because perfbench gates how
+    often the checker makes them.
     """
 
     n: int
@@ -96,6 +102,10 @@ class MemorySystem(ABC):
                 return nxt
         raise DisabledEventError(f"{event!r} is not enabled")
 
+    def view(self, state):
+        """The readable form of `state`."""
+        return state
+
     def encode_state(self, state):
         return state
 
@@ -104,16 +114,6 @@ class MemorySystem(ABC):
 
     def permute_state(self, state, kind: str, perm: Sequence[int]):
         raise NotImplementedError(f"{type(self).__name__} does not support symmetry")
-
-
-# a PiranhaState built without the Python-level NamedTuple constructor
-_new_state = partial(tuple.__new__, PiranhaState)
-
-
-def _set_entry(cache, i: int, j: int, entry):
-    """cache with the entry of 0-based processor i and location j replaced."""
-    row = cache[i]
-    return cache[:i] + (row[:j] + (entry,) + row[j + 1 :],) + cache[i + 1 :]
 
 
 class _Memo(dict):
@@ -130,26 +130,16 @@ class _Memo(dict):
         return value
 
 
-def _pack_row(row) -> bytes:
-    return bytes([x for entry in row for x in entry])
-
-
-def _pack_queue(queue) -> bytes:
-    out = [len(queue)]
-    for kind, addr, data in queue:
-        out += (kind, addr, 0 if data is None else data)
-    return bytes(out)
-
-
-def _unpack_queue(key: bytes) -> tuple[Msg, ...]:
-    queue = []
-    for pos in range(1, 1 + 3 * key[0], 3):
-        kind, addr, data = key[pos], key[pos + 1], key[pos + 2]
-        queue.append(Msg(kind, addr, None if kind == INVAL_MSG else data))
-    return tuple(queue)
-
-
 class PiranhaProtocol(MemorySystem):
+    """Piranha's L2 protocol; a state is the bytes of its packed layout.
+
+    For each processor i, a (data, status) byte pair per location j, at
+    offset 2 * (i * m + j) (0-based); then the owner byte of each location;
+    then each processor's queue: a length byte followed by a (kind, addr,
+    data) triple per message, INVAL carrying data 0.  `view` turns a state
+    into a PiranhaState and `pack` turns one back.
+    """
+
     internal_events = {"ACKX": ("proc", "loc"), "ACKS": ("proc", "loc"), "UPD": ("proc",)}
     v = 2  # the data domain {0, 1, 2} that the monitors need
 
@@ -161,57 +151,98 @@ class PiranhaProtocol(MemorySystem):
         for name, value in (("n", n), ("m", m)):
             if value > MAX_PROCS_LOCS:
                 raise ParameterError(
-                    f"{name} must be at most {MAX_PROCS_LOCS}, got {value}: packed states"
-                    " keep processor ids and locations in one byte each"
+                    f"{name} must be at most {MAX_PROCS_LOCS}, got {value}: states keep"
+                    " processor ids and locations in one byte each"
                 )
         if type(queue_bound) is not int or queue_bound < 1:
             raise ParameterError(f"queue_bound must be an int >= 1, got {queue_bound!r}")
         self.n, self.m = n, m
         self.queue_bound = queue_bound
         self.buggy = buggy
-        # Events and messages are built once here; the tables are indexed by
-        # 0-based processor and location, and reads and writes by data too.
+        self._owner_at = 2 * n * m  # offset of the owner bytes
+        self._queues_at = self._owner_at + m  # offset of the first queue
+        self._initial: Optional[tuple] = None
+        # Events are built once here.  _cells lists, per processor and
+        # location in (i, j) order, the offset of its data byte and its
+        # events: the reads indexed by data, and each write with its data
+        # byte.
         procs, locs, data = range(1, n + 1), range(1, m + 1), range(self.v + 1)
-        self._reads = tuple(
-            tuple(tuple(MemoryEvent(READ, i, j, d) for d in data) for j in locs) for i in procs
-        )
-        self._writes = tuple(
-            tuple(tuple((MemoryEvent(WRITE, i, j, d), (d, EXC)) for d in data) for j in locs)
-            for i in procs
+        self._cells = tuple(
+            (
+                2 * ((i - 1) * m + j - 1),
+                tuple(MemoryEvent(READ, i, j, d) for d in data),
+                tuple((MemoryEvent(WRITE, i, j, d), bytes((d,))) for d in data),
+            )
+            for i in procs for j in locs
         )
         self._ackx = tuple(tuple(InternalEvent("ACKX", (i, j)) for j in locs) for i in procs)
         self._acks = tuple(tuple(InternalEvent("ACKS", (i, j)) for j in locs) for i in procs)
         self._upd = tuple(InternalEvent("UPD", (i,)) for i in procs)
-        self._msgs = _Memo(lambda key: Msg(*key))  # (kind, addr, data) -> Msg
-        # encode_state and decode_state translate rows and queues through these
-        self._row_keys = _Memo(_pack_row)
-        self._queue_keys = _Memo(_pack_queue)
-        self._rows = _Memo(lambda key: tuple((key[2 * j], key[2 * j + 1]) for j in range(m)))
-        self._queues = _Memo(_unpack_queue)
-        # the last state decode_state built, with its key: a read's successor
-        # is that very object, so encoding it needs no work
-        self._decoded: tuple = (None, b"")
+        self._invals = tuple(bytes((INVAL_MSG, j, 0)) for j in locs)
 
     # -- states -------------------------------------------------------------
 
-    def initial_state(self, owner: Sequence[int]) -> PiranhaState:
+    def pack(self, view: PiranhaState) -> bytes:
+        """The state whose view is `view`."""
+        out = [x for row in view.cache for entry in row for x in entry]
+        out += view.owner
+        for queue in view.inq:
+            out.append(len(queue))
+            for kind, addr, data in queue:
+                out += (kind, addr, 0 if data is None else data)
+        return bytes(out)
+
+    def view(self, state: bytes) -> PiranhaState:
+        """The readable form of a state; the inverse of pack."""
+        m, owner_at = self.m, self._owner_at
+        try:
+            starts = self._queue_starts(state)
+        except IndexError:
+            starts = None
+        if starts is None or starts[-1] != len(state):
+            raise ParameterError("malformed state")
+        cache = tuple(
+            tuple((state[pos], state[pos + 1]) for pos in range(start, start + 2 * m, 2))
+            for start in range(0, owner_at, 2 * m)
+        )
+        inq = tuple(
+            tuple(
+                Msg(kind, addr, None if kind == INVAL_MSG else data)
+                for kind, addr, data in zip(*[iter(state[start + 1 : end])] * 3)
+            )
+            for start, end in zip(starts, starts[1:])
+        )
+        return PiranhaState(cache, tuple(state[owner_at : self._queues_at]), inq)
+
+    def initial_state(self, owner: Sequence[int]) -> bytes:
         owner = tuple(owner)
         if len(owner) != self.m or not all(1 <= o <= self.n for o in owner):
             raise ParameterError(
                 f"owner vector must assign each of {self.m} locations a processor 1..{self.n}"
             )
         row = ((0, SHD),) * self.m
-        return PiranhaState((row,) * self.n, owner, ((),) * self.n)
+        return self.pack(PiranhaState((row,) * self.n, owner, ((),) * self.n))
 
-    def initial_states(self) -> tuple[PiranhaState, ...]:
-        return tuple(
-            self.initial_state(owner)
-            for owner in product(range(1, self.n + 1), repeat=self.m)
-        )
+    def initial_states(self) -> tuple[bytes, ...]:
+        if self._initial is None:
+            self._initial = tuple(
+                self.initial_state(owner)
+                for owner in product(range(1, self.n + 1), repeat=self.m)
+            )
+        return self._initial
+
+    def _queue_starts(self, state: bytes) -> list[int]:
+        """The offset of each processor's queue, then the end of the last."""
+        pos = self._queues_at
+        starts = [pos]
+        for _ in range(self.n):
+            pos += 1 + 3 * state[pos]
+            starts.append(pos)
+        return starts
 
     # -- guards -------------------------------------------------------------
 
-    def _grants(self, state: PiranhaState) -> tuple[list, list]:
+    def _grants(self, state: bytes, starts: list[int]) -> tuple[list, list]:
         """The enabled ACKX and the enabled ACKS events, as 0-based (i, j)
         pairs ascending in (i, j).
 
@@ -220,27 +251,26 @@ class PiranhaProtocol(MemorySystem):
         except the old owner, which is invalidated directly; ACKS(i, j) needs
         i INV.
         """
-        cache, owner, inq = state
-        bound = self.queue_bound
-        full = [len(queue) >= bound for queue in inq]
+        n, m, bound = self.n, self.m, self.queue_bound
+        owner = state[self._owner_at : self._queues_at]
+        status = state[1 : self._owner_at : 2]  # processor i's at i * m + j
+        full = [state[start] >= bound for start in starts[:n]]
         # ACKX at j is blocked when j has no owner, or when a sharer of j
         # other than the old owner has a full queue
         if True in full:
             blocked = [
                 not old
-                or any(
-                    f and row[j][1] != INV and p != old
-                    for p, (f, row) in enumerate(zip(full, cache), 1)
-                )
+                or any(full[p] and status[p * m + j] != INV and p + 1 != old for p in range(n))
                 for j, old in enumerate(owner)
             ]
         else:
             blocked = [not old for old in owner]
         ackx, acks = [], []
-        for i, row in enumerate(cache):
+        for i in range(n):
             if full[i]:
                 continue
-            for j, (_d, s) in enumerate(row):
+            for j in range(m):
+                s = status[i * m + j]
                 if s != EXC and not blocked[j]:
                     ackx.append((i, j))
                 if s == INV and owner[j]:
@@ -249,56 +279,64 @@ class PiranhaProtocol(MemorySystem):
 
     # -- bodies (0-based processor and location) -----------------------------
 
-    def _do_ackx(self, state: PiranhaState, i: int, j: int) -> PiranhaState:
-        cache, owner, inq = state
-        old = owner[j] - 1
-        # capture the old owner's data before zeroing; zeroing first would
-        # leave nothing to read the reply data from
-        data = cache[old][j][0]
+    def _do_ackx(self, state: bytes, starts: list[int], i: int, j: int) -> bytes:
+        m = self.m
+        old = state[self._owner_at + j] - 1
+        data = state[2 * (old * m + j)]
+        b = bytearray(state)
         if old != i:
-            cache = _set_entry(cache, old, j, (data, INV))
-        owner = owner[:j] + (0,) + owner[j + 1 :]
-        reply = self._msgs[ACKX_MSG, j + 1, data]
-        inval = self._msgs[INVAL_MSG, j + 1, None]
-        queues = list(inq)
-        for p, row in enumerate(cache):
+            b[2 * (old * m + j) + 1] = INV
+        b[self._owner_at + j] = 0
+        inval = self._invals[j]
+        # from the last queue back, so each insert leaves the offsets of the
+        # queues still to visit where they were
+        for p in range(self.n - 1, -1, -1):
             if p == i:
-                queues[p] += (reply,)
-            elif p != old and row[j][1] != INV:
-                queues[p] += (inval,)
-        return _new_state((cache, owner, tuple(queues)))
+                msg = bytes((ACKX_MSG, j + 1, data))
+            elif p != old and state[2 * (p * m + j) + 1] != INV:
+                msg = inval
+            else:
+                continue
+            end = starts[p + 1]
+            b[end:end] = msg
+            b[starts[p]] += 1
+        return bytes(b)
 
-    def _do_acks(self, state: PiranhaState, i: int, j: int) -> PiranhaState:
-        cache, owner, inq = state
-        old = owner[j] - 1
-        data = cache[old][j][0]
-        cache = _set_entry(cache, old, j, (data, SHD))
+    def _do_acks(self, state: bytes, starts: list[int], i: int, j: int) -> bytes:
+        pos = 2 * ((state[self._owner_at + j] - 1) * self.m + j)
+        b = bytearray(state)
+        b[pos + 1] = SHD
         if not self.buggy:
-            owner = owner[:j] + (0,) + owner[j + 1 :]  # the bug: this reset is skipped
-        inq = inq[:i] + (inq[i] + (self._msgs[ACKS_MSG, j + 1, data],),) + inq[i + 1 :]
-        return _new_state((cache, owner, inq))
+            b[self._owner_at + j] = 0  # the bug: this reset is skipped
+        end = starts[i + 1]
+        b[end:end] = bytes((ACKS_MSG, j + 1, state[pos]))
+        b[starts[i]] += 1
+        return bytes(b)
 
-    def _do_upd(self, state: PiranhaState, i: int) -> PiranhaState:
-        cache, owner, inq = state
-        queue = inq[i]
-        kind, a, data = queue[0]
-        inq = inq[:i] + (queue[1:],) + inq[i + 1 :]
-        a -= 1
+    def _do_upd(self, state: bytes, starts: list[int], i: int) -> bytes:
+        start = starts[i]
+        kind, a, data = state[start + 1 : start + 4]
+        b = bytearray(state)
+        b[start] -= 1
+        del b[start + 1 : start + 4]
+        pos = 2 * (i * self.m + a - 1)
         if kind == INVAL_MSG:
-            cache = _set_entry(cache, i, a, (cache[i][a][0], INV))
+            b[pos + 1] = INV
         else:
-            cache = _set_entry(cache, i, a, (data, SHD if kind == ACKS_MSG else EXC))
-            owner = owner[:a] + (i + 1,) + owner[a + 1 :]
-        return _new_state((cache, owner, inq))
+            b[pos] = data
+            b[pos + 1] = SHD if kind == ACKS_MSG else EXC
+            b[self._owner_at + a - 1] = i + 1
+        return bytes(b)
 
     # -- transition relation --------------------------------------------------
 
-    def step(self, state: PiranhaState, event: Event):
+    def step(self, state: bytes, event: Event):
         if isinstance(event, MemoryEvent):
             i, j = event.proc, event.loc
-            if not (1 <= i <= self.n and 1 <= j <= self.m and event.data >= 0):
+            if not (1 <= i <= self.n and 1 <= j <= self.m and 0 <= event.data <= MAX_DATA):
                 raise ParameterError(f"event out of range: {event!r}")
-            d, s = state.cache[i - 1][j - 1]
+            pos = 2 * ((i - 1) * self.m + j - 1)
+            d, s = state[pos], state[pos + 1]
             if event.op == READ:
                 if s == INV or d != event.data:
                     raise DisabledEventError(f"{event!r}: cache holds ({d}, {STATUS_NAMES[s]})")
@@ -307,118 +345,85 @@ class PiranhaProtocol(MemorySystem):
                 raise ParameterError(f"bad op in {event!r}")
             if s != EXC:
                 raise DisabledEventError(f"{event!r}: line not exclusive")
-            return _new_state(
-                (_set_entry(state.cache, i - 1, j - 1, (event.data, EXC)), state.owner, state.inq)
-            )
+            return state[:pos] + bytes((event.data,)) + state[pos + 1 :]
         if not isinstance(event, InternalEvent):
             raise ParameterError(f"not an event: {event!r}")
         label, params = event.label, event.params
         if label == "UPD":
             if len(params) != 1 or not 1 <= params[0] <= self.n:
                 raise ParameterError(f"bad params in {event!r}")
-            if not state.inq[params[0] - 1]:
+            starts = self._queue_starts(state)
+            if not state[starts[params[0] - 1]]:
                 raise DisabledEventError(f"{event!r}: queue empty")
-            return self._do_upd(state, params[0] - 1)
+            return self._do_upd(state, starts, params[0] - 1)
         if label in ("ACKX", "ACKS"):
             if len(params) != 2 or not (
                 1 <= params[0] <= self.n and 1 <= params[1] <= self.m
             ):
                 raise ParameterError(f"bad params in {event!r}")
             i, j = params[0] - 1, params[1] - 1
-            ackx, acks = self._grants(state)
+            starts = self._queue_starts(state)
+            ackx, acks = self._grants(state, starts)
             if label == "ACKX":
                 if (i, j) not in ackx:
                     raise DisabledEventError(f"{event!r}: guard false")
-                return self._do_ackx(state, i, j)
+                return self._do_ackx(state, starts, i, j)
             if (i, j) not in acks:
                 raise DisabledEventError(f"{event!r}: guard false")
-            return self._do_acks(state, i, j)
+            return self._do_acks(state, starts, i, j)
         raise ParameterError(f"unknown internal event label {label!r}")
 
-    def successors(self, state: PiranhaState) -> tuple[tuple[Event, object], ...]:
+    def successors(self, state: bytes) -> tuple[tuple[Event, object], ...]:
         """Enabled events with their successor states, in a fixed order:
         reads, writes, ACKX, ACKS, UPD, each ascending in (proc, loc, data).
         A read's successor is `state` itself."""
-        cache, owner, inq = state
         out: list[tuple[Event, object]] = []
         writes = []
-        for i, row in enumerate(cache):
-            reads = self._reads[i]
-            for j, (d, s) in enumerate(row):
-                if s == INV:
-                    continue
-                by_data = reads[j]
-                # replays give writes fresh values, which may exceed v
-                e = by_data[d] if d < len(by_data) else MemoryEvent(READ, i + 1, j + 1, d)
-                out.append((e, state))
-                if s == EXC:
-                    head, tail = cache[:i], cache[i + 1 :]
-                    left, right = row[:j], row[j + 1 :]
-                    for e, entry in self._writes[i][j]:
-                        writes.append(
-                            (e, _new_state((head + (left + (entry,) + right,) + tail, owner, inq)))
-                        )
+        for pos, reads, writes_here in self._cells:
+            s = state[pos + 1]
+            if s == INV:
+                continue
+            d = state[pos]
+            # replays give writes fresh values, which may exceed v
+            e = reads[d] if d < len(reads) else MemoryEvent(READ, reads[0].proc, reads[0].loc, d)
+            out.append((e, state))
+            if s == EXC:
+                head, tail = state[:pos], state[pos + 1 :]
+                for e, byte in writes_here:
+                    writes.append((e, head + byte + tail))
         out += writes
-        ackx, acks = self._grants(state)
+        starts = self._queue_starts(state)
+        ackx, acks = self._grants(state, starts)
         append = out.append
         for i, j in ackx:
-            append((self._ackx[i][j], self._do_ackx(state, i, j)))
+            append((self._ackx[i][j], self._do_ackx(state, starts, i, j)))
         for i, j in acks:
-            append((self._acks[i][j], self._do_acks(state, i, j)))
-        for i, queue in enumerate(inq):
-            if queue:
-                append((self._upd[i], self._do_upd(state, i)))
+            append((self._acks[i][j], self._do_acks(state, starts, i, j)))
+        for i, start in enumerate(starts[: self.n]):
+            if state[start]:
+                append((self._upd[i], self._do_upd(state, starts, i)))
         return tuple(out)
 
     # -- misc ----------------------------------------------------------------
 
-    def encode_state(self, state: PiranhaState) -> bytes:
-        if state is self._decoded[0]:
-            return self._decoded[1]
-        cache, owner, inq = state
-        return b"".join(
-            [*map(self._row_keys.__getitem__, cache), bytes(owner),
-             *map(self._queue_keys.__getitem__, inq)]
-        )
-
-    def decode_state(self, key: bytes) -> PiranhaState:
-        """Inverse of encode_state; lets searches keep states as packed bytes."""
-        n, m = self.n, self.m
-        width = 2 * m
-        rows, queues = self._rows, self._queues
-        cache = tuple([rows[key[pos : pos + width]] for pos in range(0, n * width, width)])
-        pos = n * width
-        owner = tuple(key[pos : pos + m])
-        pos += m
-        inq = []
-        for _ in range(n):
-            end = pos + 1 + 3 * key[pos]
-            inq.append(queues[key[pos:end]])
-            pos = end
-        if pos != len(key):
-            raise ParameterError("malformed state key")
-        state = _new_state((cache, owner, tuple(inq)))
-        self._decoded = (state, key)
-        return state
-
-    def permute_state(self, state: PiranhaState, kind: str, perm: Sequence[int]):
+    def permute_state(self, state: bytes, kind: str, perm: Sequence[int]) -> bytes:
         if kind not in ("proc", "loc"):
             raise ParameterError(f"kind must be 'proc' or 'loc', got {kind!r}")
         perm = check_permutation(perm, self.n if kind == "proc" else self.m)
         # new id y takes over what old id source[y - 1] + 1 held
         source = sorted(range(len(perm)), key=perm.__getitem__)
-        cache, owner, inq = state
+        cache, owner, inq = self.view(state)
         if kind == "proc":
-            return PiranhaState(
+            return self.pack(PiranhaState(
                 tuple([cache[x] for x in source]),
                 tuple([o and perm[o - 1] for o in owner]),
                 tuple([inq[x] for x in source]),
-            )
-        return PiranhaState(
+            ))
+        return self.pack(PiranhaState(
             tuple([tuple([row[x] for x in source]) for row in cache]),
             tuple([owner[x] for x in source]),
             tuple([tuple([Msg(k, perm[a - 1], d) for k, a, d in queue]) for queue in inq]),
-        )
+        ))
 
 
 PROTOCOL_NAMES = ("piranha", "piranha-buggy")
@@ -454,32 +459,21 @@ def replay(protocol: MemorySystem, run: Run, initial_state):
     return state
 
 
-def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace:
-    """Re-execute the run with globally fresh per-location write values.
+_DIGIT_BASE = 255  # a shadow write carries one digit of its tag, plus 1: 1..255
 
-    A shadow copy of the protocol follows the run's control path while every
-    write carries the next unused value (1, 2, ... per location) and every
-    read returns whatever the shadow state serves at that processor and
-    location.  The result is an unambiguous trace whose renaming back to the
-    original data values reproduces the run's memory projection; divergence
-    between the two executions means the protocol is not data independent.
-    The run is replayed first, so a run that does not replay raises
-    ReplayError before the shadow pass starts.
-    """
-    replay(protocol, run, initial_state)
+
+def _shadow_reads(protocol: MemorySystem, run: Run, initial_state, write_value):
+    """Follow the run on a shadow copy of the protocol in which each write
+    carries write_value(write), and yield (index, read, shadow read) for
+    each read, where the shadow read is the one read the shadow state
+    enables at the read's processor and location.  Divergence raises
+    DataIndependenceError."""
     shadow = initial_state
-    next_tag: dict[int, int] = {}
-    renamed: dict[tuple[int, int], int] = {}
-    out: list[MemoryEvent] = []
     for idx, e in enumerate(run.events, 1):
         if not isinstance(e, MemoryEvent):
             sh = e
         elif e.op == WRITE:
-            tag = next_tag.get(e.loc, 1)
-            next_tag[e.loc] = tag + 1
-            sh = MemoryEvent(WRITE, e.proc, e.loc, tag)
-            renamed[(e.loc, tag)] = e.data
-            out.append(sh)
+            sh = MemoryEvent(WRITE, e.proc, e.loc, write_value(e))
         else:
             cands = [
                 se
@@ -495,17 +489,85 @@ def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace
                     f"(proc={e.proc}, loc={e.loc}), expected exactly one"
                 )
             sh = cands[0]
-            expected = 0 if sh.data == 0 else renamed.get((e.loc, sh.data))
-            if expected != e.data:
-                raise DataIndependenceError(
-                    f"event {idx}: shadow read value {sh.data} renames to "
-                    f"{expected}, run read {e.data}"
-                )
-            out.append(sh)
+            yield idx, e, sh
         try:
             shadow = protocol.step(shadow, sh)
         except DisabledEventError as exc:
             raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
+
+
+def _check_renaming(idx: int, e: MemoryEvent, tag: int, renamed: dict, written: int) -> None:
+    """The read e, whose shadow read `tag` after `written` writes to its
+    location, must read the data that `renamed` gives that tag."""
+    expected = 0 if tag == 0 else renamed.get((e.loc, tag)) if tag <= written else None
+    if expected != e.data:
+        raise DataIndependenceError(
+            f"event {idx}: shadow read value {tag} renames to {expected}, run read {e.data}"
+        )
+
+
+def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace:
+    """Re-execute the run with globally fresh per-location write values.
+
+    A shadow copy of the protocol follows the run's control path while every
+    write carries the next unused tag (1, 2, ... per location) and every
+    read returns whatever the shadow state serves at that processor and
+    location.  The result is an unambiguous trace whose renaming back to the
+    original data values reproduces the run's memory projection; divergence
+    between the two executions means the protocol is not data independent.
+    The run is replayed first, so a run that does not replay raises
+    ReplayError before the shadow pass starts.
+
+    A shadow write carries one base-255 digit of its tag, plus 1, so that
+    values fit in the 1..255 that a packed state holds, and 0 stays the
+    initial value.  The first pass carries the lowest digit.  A read at a
+    location written at most 255 times so far reads its tag itself and is
+    checked there; with at most 255 writes per location that one pass is
+    all.  Otherwise one more pass per further digit rebuilds the tags of
+    the reads that were left open.
+    """
+    replay(protocol, run, initial_state)
+    next_tag: dict[int, int] = {}
+    renamed: dict[tuple[int, int], int] = {}
+    write_tags: list[int] = []
+    out: list[MemoryEvent] = []
+    # (position in out, index, read, tags written to its location by then,
+    # the value it read in each pass) of each read left open
+    pending: dict[int, tuple] = {}
+
+    def first_digit(e: MemoryEvent) -> int:
+        tag = next_tag.get(e.loc, 1)
+        next_tag[e.loc] = tag + 1
+        renamed[(e.loc, tag)] = e.data
+        write_tags.append(tag)
+        out.append(MemoryEvent(WRITE, e.proc, e.loc, tag))
+        return (tag - 1) % _DIGIT_BASE + 1
+
+    for r, (idx, e, sh) in enumerate(_shadow_reads(protocol, run, initial_state, first_digit)):
+        written = next_tag.get(e.loc, 1) - 1
+        if written <= _DIGIT_BASE:
+            _check_renaming(idx, e, sh.data, renamed, written)
+        else:
+            pending[r] = (len(out), idx, e, written, [sh.data])
+        out.append(sh)
+    if pending:
+        scale = 1
+        while (max(write_tags) - 1) // scale >= _DIGIT_BASE:
+            scale *= _DIGIT_BASE
+            digits = iter([(tag - 1) // scale % _DIGIT_BASE + 1 for tag in write_tags])
+            reads = _shadow_reads(protocol, run, initial_state, lambda e: next(digits))
+            for r, (_idx, _e, sh) in enumerate(reads):
+                if r in pending:
+                    pending[r][4].append(sh.data)
+        for pos, idx, e, written, values in pending.values():
+            if not any(values):
+                tag = 0
+            elif all(values):
+                tag = 1 + sum((x - 1) * _DIGIT_BASE**p for p, x in enumerate(values))
+            else:  # the passes disagree on whether the read saw a write
+                tag = -1
+            _check_renaming(idx, e, tag, renamed, written)
+            out[pos] = MemoryEvent(READ, e.proc, e.loc, tag)
     v = max([1] + [tag - 1 for tag in next_tag.values()])
     return Trace(tuple(out), Params(protocol.n, protocol.m, v))
 

@@ -115,21 +115,22 @@ class FullQueueStallsProtocol(_FilteredPiranha):
     """UPD(2) is disabled while processor 2's queue is full."""
 
     def drops(self, state, e):
-        return e == InternalEvent("UPD", (2,)) and len(state.inq[1]) == self.queue_bound
+        queue = self.view(state).inq[1]
+        return e == InternalEvent("UPD", (2,)) and len(queue) == self.queue_bound
 
 
 class OwnerBlocksGrantProtocol(_FilteredPiranha):
     """ACKX(2, 2) is disabled while processor 1 owns location 1."""
 
     def drops(self, state, e):
-        return e == InternalEvent("ACKX", (2, 2)) and state.owner[0] == 1
+        return e == InternalEvent("ACKX", (2, 2)) and self.view(state).owner[0] == 1
 
 
 class CopyBlocksWriteProtocol(_FilteredPiranha):
     """W(2, 2, 2) is disabled while processor 1's copy of location 1 holds 2."""
 
     def drops(self, state, e):
-        return e == MemoryEvent(WRITE, 2, 2, 2) and state.cache[0][0][0] == 2
+        return e == MemoryEvent(WRITE, 2, 2, 2) and self.view(state).cache[0][0][0] == 2
 
 
 class PartialOwnersProtocol(PiranhaProtocol):

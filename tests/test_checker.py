@@ -108,7 +108,7 @@ class TestModelCheck:
         # BFS with the fixed event order lands on the shortest product run
         assert v.max_depth == 12
         assert v.run == Run(RUN12.events, Params(2, 2, 2))
-        assert v.initial_state.owner == (1, 1)
+        assert p.view(v.initial_state).owner == v.initial_owners == (1, 1)
         assert v.cycle.vertices == (1, 2, 3, 4)
         assert v.trace.events == (W(1, 1, 1), R(1, 2, 0), W(2, 2, 1), R(2, 1, 0))
 
@@ -683,6 +683,24 @@ class TestValidateAssumptions:
         assert report.symmetry_checks == checks
         assert {v.kind for v in report.symmetry_violations} == kinds
         assert report.symmetry_violations[0].failed_at == failed_at
+
+    def test_totals_count_past_the_cap(self):
+        # the fixture breaks the processor swap in exactly the states with a
+        # full queue; depth 6 checks every state within 5 events, and the
+        # report lists only the first 20 of them
+        fixture = FullQueueStallsProtocol()
+        seen = set(fixture.initial_states())
+        frontier = list(seen)
+        for _ in range(5):
+            frontier = [s2 for s in frontier for _e, s2 in fixture.successors(s) if s2 not in seen]
+            seen.update(frontier)
+        full = sum(any(len(q) == fixture.queue_bound for q in fixture.view(s).inq) for s in seen)
+        report = validate_assumptions(fixture, depth=6)
+        assert report.symmetry_total == full == 96
+        assert len(report.symmetry_violations) == 20
+        assert report.causality_total == 0
+        payload = report.to_json()
+        assert (payload["symmetry_total"], payload["causality_total"]) == (96, 0)
 
     def test_initial_states_must_map_onto_themselves(self):
         report = validate_assumptions(PartialOwnersProtocol(), depth=0)

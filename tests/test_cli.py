@@ -41,7 +41,7 @@ from scmc.cli import (
     main,
 )
 from corpus import serial_trace
-from fixtures import HallucinatingReadProtocol
+from fixtures import FullQueueStallsProtocol, HallucinatingReadProtocol
 from reference_jsonl import reference_loads_run_jsonl
 from reference_oracle import permutation_oracle
 from strategies import jsonl_texts
@@ -461,6 +461,14 @@ class TestValidateAssumptions:
         assert payload["symmetry_violations"] == []
         assert payload["nodes"] > 0 and payload["symmetry_checks"] > 0
 
+    def test_text_gives_violation_totals(self, monkeypatch, capsys):
+        # the fixture has 96 symmetry violations at depth 6; JSON lists 20
+        monkeypatch.setattr(cli, "make_protocol", lambda *args: FullQueueStallsProtocol())
+        assert main(["validate-assumptions"]) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert "causality violations: 0\n" in out
+        assert "symmetry checks: 1436, violations: 96\n" in out
+
     def test_default_depth_is_the_library_default(self, capsys):
         code, payload = run_json(capsys, ["validate-assumptions"])
         report = validate_assumptions(make_protocol("piranha", 2, 2))
@@ -489,8 +497,8 @@ JSON_KEYS = {
         "final_state", "unambiguous_trace",
     ],
     "validate-assumptions": [
-        "depth", "nodes", "edges", "causality_violations", "symmetry_checks",
-        "symmetry_violations", "ok",
+        "depth", "nodes", "edges", "causality_violations", "causality_total",
+        "symmetry_checks", "symmetry_violations", "symmetry_total", "ok",
     ],
 }
 

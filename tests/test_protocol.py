@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from scmc import (
     PiranhaProtocol,
     ReplayError,
     Run,
+    dumps_jsonl,
     make_protocol,
     project_trace,
     replay,
@@ -19,6 +21,7 @@ from scmc import (
 )
 from scmc.protocol import EXC, INV, SHD, permute_event
 from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
+from reference_protocol import ReferencePiranha
 from reference_trace import permute_run
 
 W = lambda p, l, d: MemoryEvent("W", p, l, d)
@@ -49,7 +52,7 @@ class TestConstruction:
 
     def test_initial_state_shape(self):
         p = make_protocol("piranha", 2, 2)
-        s = p.initial_state((2, 1))
+        s = p.view(p.initial_state((2, 1)))
         assert s.owner == (2, 1)
         assert all(cell == (0, SHD) for row in s.cache for cell in row)
         assert all(q == () for q in s.inq)
@@ -91,7 +94,7 @@ class TestConstruction:
 class TestReplay:
     def test_eight_event_run(self):
         p = make_protocol("piranha", 2, 1)
-        final = replay(p, RUN8, p.initial_state((1,)))
+        final = p.view(replay(p, RUN8, p.initial_state((1,))))
         assert final.cache[1][0] == (1, SHD)
 
     def test_empty_run(self):
@@ -101,7 +104,7 @@ class TestReplay:
 
     def test_twelve_event_run_on_buggy(self):
         p = make_protocol("piranha-buggy", 2, 2)
-        final = replay(p, RUN12, p.initial_state((1, 1)))
+        final = p.view(replay(p, RUN12, p.initial_state((1, 1))))
         assert final.cache[0][0] == (1, EXC)
         assert final.cache[1][1] == (1, EXC)
 
@@ -117,10 +120,10 @@ class TestReplay:
         p = make_protocol("piranha", 2, 2)
         prefix = Run(RUN12.events[:3], Params(2, 2, 1))
         state = replay(p, prefix, p.initial_state((1, 1)))
-        assert state.owner[1] == 0
+        assert p.view(state).owner[1] == 0
         pb = make_protocol("piranha-buggy", 2, 2)
         state_b = replay(pb, prefix, pb.initial_state((1, 1)))
-        assert state_b.owner[1] == 2
+        assert pb.view(state_b).owner[1] == 2
 
     def test_parameter_mismatch(self):
         p = make_protocol("piranha", 2, 1)
@@ -134,7 +137,7 @@ class TestGuards:
         for s in p.initial_states():
             for e, _ in p.successors(s):
                 if isinstance(e, MemoryEvent) and e.op == "W":
-                    assert s.cache[e.proc - 1][e.loc - 1][1] == EXC
+                    assert p.view(s).cache[e.proc - 1][e.loc - 1][1] == EXC
         # initial states are all-SHD, so no writes at all
         assert not any(
             isinstance(e, MemoryEvent) and e.op == "W"
@@ -182,7 +185,7 @@ class TestGuards:
             rng = random.Random(5)
             state = p.initial_state((1, 1))
             for _ in range(300):
-                assert all(len(queue) <= q for queue in state.inq)
+                assert all(len(queue) <= q for queue in p.view(state).inq)
                 succ = p.successors(state)
                 if not succ:
                     break
@@ -194,7 +197,7 @@ class TestGuards:
         setup = Run((ACKX(1, 1), UPD(2), UPD(1), ACKS(2, 1)), Params(2, 1, 1))
         tight = make_protocol("piranha-buggy", 2, 1, 1)
         s = replay(tight, setup, tight.initial_state((1,)))
-        assert len(s.inq[1]) == 1
+        assert len(tight.view(s).inq[1]) == 1
         assert ACKS(2, 1) not in dict(tight.successors(s))
         roomy = make_protocol("piranha-buggy", 2, 1, 2)
         s = replay(roomy, setup, roomy.initial_state((1,)))
@@ -245,12 +248,29 @@ class TestSuccessorsAgreeWithStep:
         # replay_unambiguous's shadow states hold fresh write values above v
         p = make_protocol("piranha", 2, 2)
         s = p.initial_state((1, 1))
-        s = s._replace(cache=(((5, SHD), (0, INV)), ((0, SHD), (0, SHD))))
+        s = p.pack(p.view(s)._replace(cache=(((5, SHD), (0, INV)), ((0, SHD), (0, SHD)))))
         succ = p.successors(s)
         assert (R(1, 1, 5), s) in succ
         assert [e for e, nxt in succ if nxt is s] == [R(1, 1, 5), R(2, 1, 0), R(2, 2, 0)]
         assert p.step(s, R(1, 1, 5)) is s
-        assert p.decode_state(p.encode_state(s)) == s
+        assert p.view(s).cache[0][0] == (5, SHD)
+
+
+class TestPackedRelation:
+    # every reachable state, breadth-first, up to 30,000: all of piranha
+    # 2x2 Q2 (11,898) and Q3 (15,570), the first 30,000 of the others
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("n, m, q", [(2, 2, 2), (2, 2, 3), (2, 3, 1), (3, 2, 1)])
+    def test_successors_match_reference(self, name, n, m, q):
+        p = make_protocol(name, n, m, q)
+        ref = ReferencePiranha(n, m, q, buggy=name == "piranha-buggy")
+        for s in _reachable(p, 30_000):
+            succ = p.successors(s)
+            want = ref.successors(p.view(s))
+            assert [e for e, _ in succ] == [e for e, _ in want]
+            assert [s2 for _, s2 in succ] == [p.pack(s2) for _, s2 in want]
+            assert all(type(s2) is bytes for _, s2 in succ)
+            assert all(s2 is s for e, s2 in succ if getattr(e, "op", None) == "R")
 
 
 class TestUnambiguousReplay:
@@ -271,6 +291,28 @@ class TestUnambiguousReplay:
         )
         trace = replay_unambiguous(p, run, p.initial_state((1,)))
         assert [e.data for e in trace.events] == [1, 2, 2]
+
+    def test_tags_past_255_writes(self):
+        # processor 2 owns location 1 and writes it 600 times while
+        # processor 1 still holds tag 1 with an INVAL queued; tags above
+        # 255 take two shadow passes, one per base-255 digit
+        p = make_protocol("piranha", 2, 1)
+        setup = (ACKX(1, 1), UPD(1), W(1, 1, 1), UPD(2), ACKS(2, 1), UPD(2), ACKX(2, 1), UPD(2))
+        burst = tuple(W(2, 1, 1 + x % 2) for x in range(600))
+        tail = (R(1, 1, 1), R(2, 1, 2), UPD(1), R(2, 1, 2))
+        run = Run(setup + burst + tail, Params(2, 1, 2))
+        trace = replay_unambiguous(p, run, p.initial_state((1,)))
+        assert [e.data for e in trace.events if e.op == "W"] == list(range(1, 602))
+        assert trace.events[-3:] == (R(1, 1, 1), R(2, 1, 601), R(2, 1, 601))
+        assert trace.params == Params(2, 1, 601)
+
+    def test_long_walk_unchanged(self, long_walk):
+        # the 10,000-event walk reaches tag 706 at one location; this is
+        # its JSON Lines digest from when states were tuples, whose tags
+        # were unbounded
+        digest = hashlib.sha256(dumps_jsonl(long_walk).encode()).hexdigest()
+        assert digest == "1b32868027b019dfb253c4c0bc9206a7886a3414fce31d9599f2156482cd2962"
+        assert long_walk.params.v == 706
 
     def test_replay_failure_propagates(self):
         p = make_protocol("piranha", 2, 2)
@@ -305,7 +347,7 @@ class TestStateEncoding:
         seen = {}
         state = p.initial_state((2, 1))
         for _ in range(500):
-            key = p.encode_state(state)
+            key = p.view(state)
             if key in seen:
                 assert seen[key] == state
             seen[key] = state
@@ -325,7 +367,8 @@ class TestStateEncoding:
         rng = random.Random(11)
         state = p.initial_states()[5]
         for _ in range(300):
-            assert p.decode_state(p.encode_state(state)) == state
+            assert p.pack(p.view(state)) == state
+            assert p.decode_state(p.encode_state(state)) is state
             succ = p.successors(state)
             if not succ:
                 break
@@ -336,15 +379,17 @@ class TestStateEncoding:
         p = make_protocol("piranha", 3, 2, 3)
         run = Run((InternalEvent("ACKX", (2, 1)),), Params(3, 2, 2))
         state = replay(p, run, p.initial_state((1, 1)))
-        assert any(msg.data is None for q in state.inq for msg in q)
-        assert any(msg.data is not None for q in state.inq for msg in q)
-        assert p.decode_state(p.encode_state(state)) == state
+        view = p.view(state)
+        assert any(msg.data is None for q in view.inq for msg in q)
+        assert any(msg.data is not None for q in view.inq for msg in q)
+        assert p.pack(view) == state
 
     def test_decode_rejects_malformed_key(self):
         p = make_protocol("piranha", 2, 2)
-        key = p.encode_state(p.initial_state((1, 1)))
-        with pytest.raises(ParameterError):
-            p.decode_state(key + b"\x00")
+        key = p.initial_state((1, 1))
+        for bad in (key + b"\x00", key[:-1], key[:3]):
+            with pytest.raises(ParameterError):
+                p.view(bad)
 
     def test_generic_decode_inverts_encode(self):
         # the contract every system keeps; the base-class key is the state
@@ -397,8 +442,8 @@ class TestSymmetry:
     def test_permute_state_moves_owner(self):
         p = make_protocol("piranha", 2, 2)
         s = p.initial_state((2, 1))
-        assert p.permute_state(s, "proc", (2, 1)).owner == (1, 2)
-        assert p.permute_state(s, "loc", (2, 1)).owner == (1, 2)
+        assert p.view(p.permute_state(s, "proc", (2, 1))).owner == (1, 2)
+        assert p.view(p.permute_state(s, "loc", (2, 1))).owner == (1, 2)
 
     def test_permute_event(self):
         p = make_protocol("piranha", 3, 2)
@@ -431,8 +476,9 @@ class TestSymmetry:
                 permute_run(p, RUN12, kind, perm)
 
 
-def at_most_one_exclusive(state) -> bool:
+def at_most_one_exclusive(p, state) -> bool:
     """Coherence: no location is EXC in two caches at once."""
+    state = p.view(state)
     return all(
         sum(row[j][1] == EXC for row in state.cache) <= 1 for j in range(len(state.owner))
     )
@@ -442,7 +488,7 @@ class TestExclusiveInvariant:
     def test_initial_states_hold(self):
         p = make_protocol("piranha", 2, 2)
         for s in p.initial_states():
-            assert at_most_one_exclusive(s)
+            assert at_most_one_exclusive(p, s)
 
     def test_correct_variant_bounded(self):
         # exhaustive at queue bound 1: the single-exclusive-copy property
@@ -456,7 +502,7 @@ class TestExclusiveInvariant:
             if key in seen:
                 continue
             seen.add(key)
-            assert at_most_one_exclusive(s)
+            assert at_most_one_exclusive(p, s)
             stack.extend(nxt for _, nxt in p.successors(s))
         assert len(seen) > 100
 
@@ -471,7 +517,7 @@ class TestExclusiveInvariant:
         found = False
         while frontier and not found:
             s, depth = frontier.pop(0)
-            if not at_most_one_exclusive(s):
+            if not at_most_one_exclusive(p, s):
                 found = True
                 break
             if depth == 8:
