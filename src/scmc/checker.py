@@ -40,6 +40,15 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive"
 
 
+def _initial_owners(protocol: MemorySystem, state) -> Optional[tuple[int, ...]]:
+    """The owner vector of an initial state, if the system's states have one."""
+    return getattr(protocol.view(state), "owner", None)
+
+
+def _owners_json(owners: Optional[tuple[int, ...]]) -> Optional[list[int]]:
+    return None if owners is None else list(owners)
+
+
 @dataclass(frozen=True)
 class Verdict:
     k: int
@@ -63,7 +72,6 @@ class Verdict:
             "run": None,
             "cycle": None,
             "unambiguous_trace": None,
-            "initial_owners": None,
         }
         if self.run is not None:
             out["run"] = [event_to_json(e) for e in self.run.events]
@@ -71,8 +79,7 @@ class Verdict:
             out["cycle"] = self.cycle.to_json()
         if self.trace is not None:
             out["unambiguous_trace"] = [event_to_json(e) for e in self.trace.events]
-        if self.initial_owners is not None:
-            out["initial_owners"] = list(self.initial_owners)
+        out["initial_owners"] = _owners_json(self.initial_owners)
         return out
 
 
@@ -303,13 +310,16 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
         # decode are the identity; they are still called, on every
         # successor and expanded state, only because perfbench gates their
         # call counts.  Dropping the calls waits for the gate to count the
-        # search's own work.
-        pairs = [(edges[e], encode(ps2)) for e, ps2 in successors(decode(x))]
-        # flat, two entries per edge, and keyed by the memo's own int, so
-        # the cache holds no object of its own but one tuple per protocol state
-        succ = succ_cache[bases[x]] = tuple(
-            [y for edge, key2 in pairs if edge is not None for y in (edge, bases[key2])]
-        )
+        # search's own work.  The cache is flat, two entries per edge, and
+        # keyed by the memo's own int, so it holds no object of its own but
+        # one tuple per protocol state.
+        succ = []
+        for e, ps2 in successors(decode(x)):
+            key2 = encode(ps2)
+            edge = edges[e]
+            if edge is not None:
+                succ += edge, bases[key2]
+        succ = succ_cache[bases[x]] = tuple(succ)
         return succ
 
     def expand(key: int):
@@ -345,7 +355,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     init = roots[root]
     run = Run(path, Params(protocol.n, protocol.m, 2))
     trace, cycle = extract_cycle(protocol, run, init, k)
-    owners = getattr(protocol.view(init), "owner", None)
+    owners = _initial_owners(protocol, init)
     return Verdict(
         k, COUNTEREXAMPLE, states, found.transitions, depth, run, cycle, trace, init, owners
     )
@@ -372,6 +382,8 @@ def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -
 @dataclass(frozen=True)
 class CausalityViolation:
     run: Run
+    initial_state: object  # the state the run starts from
+    initial_owners: Optional[tuple[int, ...]] = None  # the initial state's, if it has any
 
     @property
     def index(self) -> int:
@@ -383,6 +395,7 @@ class CausalityViolation:
             "index": self.index,
             "event": event_to_json(self.run.events[self.index - 1]),
             "run": [event_to_json(e) for e in self.run.events],
+            "initial_owners": _owners_json(self.initial_owners),
         }
 
 
@@ -391,6 +404,8 @@ class SymmetryViolation:
     kind: str
     perm: tuple[int, ...]
     run: Run
+    initial_state: object  # the state the run starts from
+    initial_owners: Optional[tuple[int, ...]] = None  # the initial state's, if it has any
 
     @property
     def failed_at(self) -> int:
@@ -404,6 +419,7 @@ class SymmetryViolation:
             "perm": list(self.perm),
             "failed_at": self.failed_at,
             "run": [event_to_json(e) for e in self.run.events],
+            "initial_owners": _owners_json(self.initial_owners),
         }
 
 
@@ -515,19 +531,23 @@ def validate_assumptions(
 
     found = _search(roots, expand, None, depth_limit=depth)
 
-    def run_to(i: int, *extra: Event) -> Run:
-        return Run(_path(found, i)[1] + extra, Params(protocol.n, protocol.m, protocol.v))
+    def run_to(i: int, *extra: Event) -> tuple:
+        """The run to node i, then extra; its initial state and owners."""
+        root, path = _path(found, i)
+        init = roots[root]
+        run = Run(path + extra, Params(protocol.n, protocol.m, protocol.v))
+        return run, init, _initial_owners(protocol, init)
 
     return AssumptionReport(
         depth=depth,
         nodes=len(found.keys),
         edges=found.transitions,
         causality_violations=tuple(
-            CausalityViolation(run_to(i, e)) for i, e in acausal[:_VIOLATION_CAP]
+            CausalityViolation(*run_to(i, e)) for i, e in acausal[:_VIOLATION_CAP]
         ),
         symmetry_checks=len(swaps) * (len(roots) + len(checked)),
         symmetry_violations=tuple(
-            SymmetryViolation(kind, perm, run_to(i))
+            SymmetryViolation(kind, perm, *run_to(i))
             for i, kind, perm in asymmetric[:_VIOLATION_CAP]
         ),
         causality_total=len(acausal),

@@ -130,6 +130,52 @@ class _Memo(dict):
         return value
 
 
+def _grant_table(n: int, m: int) -> _Memo:
+    """A table from a grant key to Piranha's enabled ACKX and the enabled
+    ACKS grants, as 0-based (i, j) pairs ascending in (i, j).
+
+    A key is a state's status bytes (processor i's at i * m + j, 0-based),
+    its owner bytes, then a byte per processor that is 1 if its queue is
+    full.  Both grants need owner[j] != 0 and room in the requester's queue.
+    ACKX(i, j) also needs i not EXC and room in the queue of every other
+    sharer of j except the old owner, which is invalidated directly;
+    ACKS(i, j) needs i INV.
+
+    The fill closes over plain values, not over the protocol, so the two
+    form no reference cycle and the protocol is freed without the cyclic
+    collector, which model_check pauses.  Keys are many but grants are
+    few, so the (i, j) pairs, the grant tuples and the values are each
+    stored once.
+    """
+    pairs = [[(i, j) for j in range(m)] for i in range(n)]
+    shared: dict = {}  # each distinct grant tuple and value, as itself
+
+    def grants(key: bytes) -> tuple[tuple, tuple]:
+        status, owner, full = key[: n * m], key[n * m : n * m + m], key[n * m + m :]
+        # ACKX at j is blocked when j has no owner, or when a sharer of j
+        # other than the old owner has a full queue
+        blocked = [
+            not old
+            or any(full[p] and status[p * m + j] != INV and p + 1 != old for p in range(n))
+            for j, old in enumerate(owner)
+        ]
+        ackx, acks = [], []
+        for i in range(n):
+            if full[i]:
+                continue
+            for j in range(m):
+                s = status[i * m + j]
+                if s != EXC and not blocked[j]:
+                    ackx.append(pairs[i][j])
+                if s == INV and owner[j]:
+                    acks.append(pairs[i][j])
+        ackx, acks = tuple(ackx), tuple(acks)
+        value = (shared.setdefault(ackx, ackx), shared.setdefault(acks, acks))
+        return shared.setdefault(value, value)
+
+    return _Memo(grants)
+
+
 class PiranhaProtocol(MemorySystem):
     """Piranha's L2 protocol; a state is the bytes of its packed layout.
 
@@ -179,6 +225,7 @@ class PiranhaProtocol(MemorySystem):
         self._acks = tuple(tuple(InternalEvent("ACKS", (i, j)) for j in locs) for i in procs)
         self._upd = tuple(InternalEvent("UPD", (i,)) for i in procs)
         self._invals = tuple(bytes((INVAL_MSG, j, 0)) for j in locs)
+        self._grant_table = _grant_table(n, m)
 
     # -- states -------------------------------------------------------------
 
@@ -196,7 +243,7 @@ class PiranhaProtocol(MemorySystem):
         """The readable form of a state; the inverse of pack."""
         m, owner_at = self.m, self._owner_at
         try:
-            starts = self._queue_starts(state)
+            starts = self._queue_starts(state)[0]
         except IndexError:
             starts = None
         if starts is None or starts[-1] != len(state):
@@ -231,51 +278,32 @@ class PiranhaProtocol(MemorySystem):
             )
         return self._initial
 
-    def _queue_starts(self, state: bytes) -> list[int]:
-        """The offset of each processor's queue, then the end of the last."""
-        pos = self._queues_at
-        starts = [pos]
+    def _queue_starts(self, state: bytes) -> tuple[list[int], bytearray]:
+        """The offset of each processor's queue, then the end of the last;
+        and a byte per processor that is 1 if its queue is full."""
+        bound, pos = self.queue_bound, self._queues_at
+        starts, full = [pos], bytearray()
         for _ in range(self.n):
-            pos += 1 + 3 * state[pos]
+            length = state[pos]
+            full.append(length >= bound)
+            pos += 1 + 3 * length
             starts.append(pos)
-        return starts
+        return starts, full
 
     # -- guards -------------------------------------------------------------
 
-    def _grants(self, state: bytes, starts: list[int]) -> tuple[list, list]:
-        """The enabled ACKX and the enabled ACKS events, as 0-based (i, j)
-        pairs ascending in (i, j).
+    def _grants(self, state: bytes) -> tuple[list[int], tuple[tuple, tuple]]:
+        """The queue offsets (`_queue_starts`), and the enabled ACKX and the
+        enabled ACKS grants, as 0-based (i, j) pairs ascending in (i, j).
 
-        Both need owner[j] != 0 and room in the requester's queue.  ACKX(i, j)
-        also needs i not EXC and room in the queue of every other sharer of j
-        except the old owner, which is invalidated directly; ACKS(i, j) needs
-        i INV.
+        Grants depend only on the status and owner bytes and on which queues
+        are full, so they are looked up in a table keyed by those bytes
+        (`_grant_table`).
         """
-        n, m, bound = self.n, self.m, self.queue_bound
-        owner = state[self._owner_at : self._queues_at]
-        status = state[1 : self._owner_at : 2]  # processor i's at i * m + j
-        full = [state[start] >= bound for start in starts[:n]]
-        # ACKX at j is blocked when j has no owner, or when a sharer of j
-        # other than the old owner has a full queue
-        if True in full:
-            blocked = [
-                not old
-                or any(full[p] and status[p * m + j] != INV and p + 1 != old for p in range(n))
-                for j, old in enumerate(owner)
-            ]
-        else:
-            blocked = [not old for old in owner]
-        ackx, acks = [], []
-        for i in range(n):
-            if full[i]:
-                continue
-            for j in range(m):
-                s = status[i * m + j]
-                if s != EXC and not blocked[j]:
-                    ackx.append((i, j))
-                if s == INV and owner[j]:
-                    acks.append((i, j))
-        return ackx, acks
+        starts, full = self._queue_starts(state)
+        owner_at = self._owner_at
+        key = state[1:owner_at:2] + state[owner_at : self._queues_at] + full
+        return starts, self._grant_table[key]
 
     # -- bodies (0-based processor and location) -----------------------------
 
@@ -352,7 +380,7 @@ class PiranhaProtocol(MemorySystem):
         if label == "UPD":
             if len(params) != 1 or not 1 <= params[0] <= self.n:
                 raise ParameterError(f"bad params in {event!r}")
-            starts = self._queue_starts(state)
+            starts = self._queue_starts(state)[0]
             if not state[starts[params[0] - 1]]:
                 raise DisabledEventError(f"{event!r}: queue empty")
             return self._do_upd(state, starts, params[0] - 1)
@@ -362,8 +390,7 @@ class PiranhaProtocol(MemorySystem):
             ):
                 raise ParameterError(f"bad params in {event!r}")
             i, j = params[0] - 1, params[1] - 1
-            starts = self._queue_starts(state)
-            ackx, acks = self._grants(state, starts)
+            starts, (ackx, acks) = self._grants(state)
             if label == "ACKX":
                 if (i, j) not in ackx:
                     raise DisabledEventError(f"{event!r}: guard false")
@@ -392,8 +419,7 @@ class PiranhaProtocol(MemorySystem):
                 for e, byte in writes_here:
                     writes.append((e, head + byte + tail))
         out += writes
-        starts = self._queue_starts(state)
-        ackx, acks = self._grants(state, starts)
+        starts, (ackx, acks) = self._grants(state)
         append = out.append
         for i, j in ackx:
             append((self._ackx[i][j], self._do_ackx(state, starts, i, j)))

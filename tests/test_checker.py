@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -30,7 +31,7 @@ from scmc import checker
 from scmc.checker import COUNTEREXAMPLE, INCONCLUSIVE, NO_VIOLATION
 from scmc.errors import DataIndependenceError
 from scmc.events import READ
-from scmc.protocol import PiranhaProtocol
+from scmc.protocol import PiranhaProtocol, permute_event
 from scmc.witness import ConstraintGraph
 from fixtures import (
     CopyBlocksWriteProtocol,
@@ -525,6 +526,22 @@ class TestGcPause:
             model_check(HallucinatingReadProtocol(2, 2), 1)
         assert gc.isenabled()
 
+    def test_protocol_freed_without_collector(self):
+        # nothing a protocol keeps, its grant table included, refers back
+        # to it, so it never waits for the collector that model_check pauses
+        gc.disable()
+        try:
+            p = make_protocol("piranha-buggy", 2, 2, 1)
+            s = p.initial_states()[0]
+            for e, _s2 in p.successors(s):
+                p.step(s, e)
+            assert model_check(p, 1).result == COUNTEREXAMPLE
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_collector_left_off(self):
         gc.disable()
         try:
@@ -654,6 +671,8 @@ class TestValidateAssumptions:
         assert len(report.causality_violations) == 1
         violation = report.causality_violations[0]
         assert violation.run.events == (R(1, 1, 1),)
+        assert violation.initial_state == ()
+        replay(fixture, violation.run, violation.initial_state)
         assert violation.index == 1
         assert violation.to_json()["index"] == 1
 
@@ -663,7 +682,8 @@ class TestValidateAssumptions:
         assert d["ok"] is False
         assert d["symmetry_violations"]
         first = d["symmetry_violations"][0]
-        assert set(first) == {"kind", "perm", "failed_at", "run"}
+        assert set(first) == {"kind", "perm", "failed_at", "run", "initial_owners"}
+        assert first["initial_owners"] is None  # flat memory has no owners
 
     @pytest.mark.parametrize(
         "fixture, kinds, checks, failed_at",
@@ -677,12 +697,29 @@ class TestValidateAssumptions:
     def test_asymmetric_piranha_flagged(self, fixture, kinds, checks, failed_at):
         # each breaks symmetry only in states a few events deep, or only in
         # its set of initial states; a sample of permuted replays passes all four
-        report = validate_assumptions(fixture(), depth=6)
+        p = fixture()
+        report = validate_assumptions(p, depth=6)
         assert not report.ok
         assert not report.causality_violations
         assert report.symmetry_checks == checks
         assert {v.kind for v in report.symmetry_violations} == kinds
         assert report.symmetry_violations[0].failed_at == failed_at
+        # each violation replays from its recorded initial state to a state
+        # where the swap fails: its successors, or for a run of no events
+        # the set of initial states, are not mapped onto themselves
+        initial = p.initial_states()
+        for v in report.symmetry_violations:
+            assert v.initial_state in initial
+            assert v.to_json()["initial_owners"] == list(p.view(v.initial_state).owner)
+            s = replay(p, v.run, v.initial_state)
+            image = {
+                (permute_event(p, e, v.kind, v.perm), p.permute_state(s2, v.kind, v.perm))
+                for e, s2 in p.successors(s)
+            }
+            swapped = p.permute_state(s, v.kind, v.perm)
+            assert set(p.successors(swapped)) != image or (
+                not v.run and swapped not in initial
+            )
 
     def test_totals_count_past_the_cap(self):
         # the fixture breaks the processor swap in exactly the states with a

@@ -224,25 +224,52 @@ def _reachable(p, limit):
     return list(seen)[:limit]
 
 
+def _assert_step_agrees(p, states):
+    """step enables exactly the events successors lists, with equal
+    successors, on every one of the states."""
+    alphabet = _alphabet(p)
+    for s in states:
+        succ = dict(p.successors(s))
+        for e in alphabet:
+            try:
+                s2 = p.step(s, e)
+            except DisabledEventError:
+                assert e not in succ
+            else:
+                assert e in succ and succ[e] == s2
+
+
 class TestSuccessorsAgreeWithStep:
     # piranha 2x2 Q2 has 11,898 reachable states; the buggy variant's state
     # space at Q2 is far larger, so it is covered up to the same size
     @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
     def test_every_state_every_event(self, name):
         p = make_protocol(name, 2, 2, 2)
-        alphabet = _alphabet(p)
         states = _reachable(p, 12_000)
         if name == "piranha":
             assert len(states) == 11_898
+        _assert_step_agrees(p, states)
+
+    # queue bound 1 with three processors or three locations: a sharer's
+    # full queue blocks ACKX in many of these states.  The first 30,000
+    # reachable states, as in TestPackedRelation.
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+    def test_full_sharer_blocks_ackx(self, name, n, m):
+        p = make_protocol(name, n, m, 1)
+        states = _reachable(p, 30_000)
+        # states where a sharer other than the owner has a full queue, which
+        # at queue bound 1 is any queue that is not empty
+        blocked = 0
         for s in states:
-            succ = dict(p.successors(s))
-            for e in alphabet:
-                try:
-                    s2 = p.step(s, e)
-                except DisabledEventError:
-                    assert e not in succ
-                else:
-                    assert e in succ and succ[e] == s2
+            cache, owner, inq = p.view(s)
+            blocked += any(
+                inq[x] and cache[x][j][1] != INV and x + 1 != old
+                for j, old in enumerate(owner) if old
+                for x in range(n)
+            )
+        assert blocked > len(states) // 2
+        _assert_step_agrees(p, states)
 
     def test_read_of_data_beyond_v(self):
         # replay_unambiguous's shadow states hold fresh write values above v
