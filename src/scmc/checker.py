@@ -149,20 +149,24 @@ class _Search(NamedTuple):
     event: list  # id -> the event that first reached it; None for roots
     transitions: int
     max_depth: int
-    goal: Optional[tuple]  # (id, depth) of the first key passing the goal test
+    goal: Optional[tuple]  # (id, depth) of the first key reached in a goal mid
     exceeded: bool  # stopped because more than max_states keys were reached
 
 
 _BITS = tuple(1 << b for b in range(8))
 
 
-def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
-    """Breadth-first search over non-negative int keys.
+def _search(roots, cache, fill, size, max_states, depth_limit=None, goal=frozenset()) -> _Search:
+    """Breadth-first search over int keys base + mid, 0 <= mid < size.
 
-    expand(key) yields (event, successor key) pairs in a fixed order, and
-    every pair counts as a transition.  Keys at depth_limit are reached but
-    not expanded.  The search stops at the first newly reached key passing
-    goal(key), or as soon as more than max_states keys (None: no bound) are
+    The loop applies the monitor tables itself.  base's successors are the
+    flat tuple (edge, base2, edge, base2, ...) that is cache.get(base), or
+    fill(base) if that is None.  An edge is a table from mid to mid2 with
+    its event appended; one that moves nothing is the identity table.  The
+    successor of base + mid is base2 + mid2, or none if mid2 is None, and
+    each one counts as a transition.  Keys at depth_limit are reached but
+    not expanded.  The search stops at the first newly reached key whose
+    mid is in goal, or once more than max_states keys (None: no bound) are
     reached.  Breadth-first order makes the path to a goal a shortest one.
 
     Keys are numbered in discovery order and kept in int arrays, so no
@@ -170,10 +174,8 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
     key & 7 of byte key >> 3.  A key past its end grows it to twice its
     length, or to the key's byte if that is further, so it is at most twice
     the bytes the largest key needs.  That is small only for dense keys:
-    every caller numbers its states from 0 in discovery order (times the
-    monitor vector count in model_check), via _numbering.  Keys are expanded
-    in the order they are discovered: a cursor walks `keys`, and a level
-    ends where `keys` ended when the level began.
+    every caller numbers its bases 0, size, 2 * size, ... in discovery
+    order, via _numbering.  A level ends where `keys` ended when it began.
     """
     keys = array("q", dict.fromkeys(roots))
     visited = bytearray()
@@ -190,18 +192,29 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
     event: list = [None] * len(keys)
     bound = sys.maxsize if max_states is None else max_states
     append, append_parent, append_event = keys.append, parent.append, event.append
-    transitions = depth = cursor = 0
+    cached = cache.get
+    transitions = depth = 0
     level_end = len(keys)
-    while cursor < len(keys):
-        if cursor == level_end:
+    for i, key in enumerate(keys):
+        if i == level_end:
             depth += 1
             level_end = len(keys)
         if depth == depth_limit:
             break
-        i = cursor
-        cursor += 1
-        for e, key2 in expand(keys[i]):
+        mid = key % size
+        base = key - mid
+        succ = cached(base)
+        if succ is None:
+            succ = fill(base)
+        it = iter(succ)
+        for edge, base2 in zip(it, it):
+            mid2 = edge[mid]
+            if mid2 is None:  # a constraint blocks this write
+                continue
+            key2 = base2 + mid2
             transitions += 1
+            if key2 == key:  # back to itself, as a read that moves no monitor
+                continue
             try:
                 if visited[key2 >> 3] & bits[key2 & 7]:
                     continue
@@ -210,8 +223,8 @@ def _search(roots, expand, max_states, depth_limit=None, goal=None) -> _Search:
             visited[key2 >> 3] |= bits[key2 & 7]
             append(key2)
             append_parent(i)
-            append_event(e)
-            if goal is not None and goal(key2):
+            append_event(edge[-1])
+            if mid2 in goal:
                 goal_at = (len(keys) - 1, depth + 1)
                 return _Search(keys, parent, event, transitions, depth, goal_at, False)
             if len(keys) > bound:
@@ -267,37 +280,34 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
 
     # A product key is one int, pid * size + mid.  mid indexes `vectors`,
     # the tuples of monitor phases: one constraint per location, then one
-    # check per processor 1..k.  Each event has a table from mid to the mid
-    # after the event (None: a constraint blocks it).  pid numbers the
-    # protocol state keys of the initial states, then of each expanded
-    # state's successors in order, skipping successors whose event every
-    # vector blocks; `state_keys` keeps each key.  A key is the state itself
-    # (encode_state and decode_state are the identity).
-    # Keys stay below (number of pids) * size, so the visited bitmap needs
-    # about size bits per protocol state.
+    # check per processor 1..k.  pid numbers the protocol state keys of the
+    # initial states, then of each expanded state's successors in order,
+    # skipping successors whose event every vector blocks; `state_keys`
+    # keeps each key, the state itself (encode_state and decode_state are
+    # the identity).  Keys stay below (number of pids) * size, so the
+    # visited bitmap needs about size bits per protocol state.
     automata = [ConstrainAutomaton(j, k) for j in range(1, protocol.m + 1)]
     automata += [CheckAutomaton(i, k) for i in range(1, k + 1)]
     vectors = list(product(*[a.states for a in automata]))
     size = len(vectors)
     mids = {vec: mid for mid, vec in enumerate(vectors)}
-    unmoved = list(range(size))
+    unmoved = tuple(range(size))
     # protocol state key <-> pid * size, one int object per pid
     state_keys, bases = _numbering(size)
+    numbered, new_key = bases.get, state_keys.append
     succ_cache: dict[int, tuple] = {}  # pid * size -> (edge, base2, edge, base2, ...)
     successors, encode, decode = protocol.successors, protocol.encode_state, protocol.decode_state
 
     def edge_of(e: Event) -> Optional[tuple]:
-        """(e, its monitor table; None: moves none), or None if every
-        monitor vector blocks e."""
+        """e's table from mid to the mid after e (None: a constraint blocks
+        it), with e appended; None if every monitor vector blocks e."""
         if type(e) is not MemoryEvent:
-            return e, None
+            return (*unmoved, e)
         table = []
         for vec in vectors:
             vec2 = tuple([a.step(p, e) for a, p in zip(automata, vec)])
             table.append(None if None in vec2 else mids[vec2])
-        if table == unmoved:
-            return e, None
-        return None if table.count(None) == size else (e, tuple(table))
+        return None if table.count(None) == size else (*table, e)
 
     edges = _Memo(edge_of)
 
@@ -306,36 +316,26 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
             succ_cache.clear()
         x = state_keys[base // size]
         # A successor every monitor vector blocks, such as a write of 1 or
-        # 2 to a location above k, is never numbered or cached.  encode and
-        # decode are the identity; they are still called, on every
-        # successor and expanded state, only because perfbench gates their
-        # call counts.  Dropping the calls waits for the gate to count the
-        # search's own work.  The cache is flat, two entries per edge, and
-        # keyed by the memo's own int, so it holds no object of its own but
-        # one tuple per protocol state.
-        succ = []
+        # 2 to a location above k, is never numbered or cached; the others
+        # are numbered here as the memo would number them.  encode and
+        # decode are the identity, called on every successor and expanded
+        # state only because perfbench gates their call counts.  The cache
+        # is flat and keyed by the memo's own int, so it holds one tuple
+        # per protocol state and no object of its own.
+        succ: list = []
+        add = succ.append
         for e, ps2 in successors(decode(x)):
             key2 = encode(ps2)
             edge = edges[e]
             if edge is not None:
-                succ += edge, bases[key2]
+                base2 = numbered(key2)
+                if base2 is None:
+                    new_key(key2)
+                    base2 = bases[key2] = (len(state_keys) - 1) * size
+                add(edge)
+                add(base2)
         succ = succ_cache[bases[x]] = tuple(succ)
         return succ
-
-    def expand(key: int):
-        mid = key % size
-        base = key - mid
-        succ = succ_cache.get(base)
-        if succ is None:
-            succ = successors_of(base)
-        it = iter(succ)
-        for (e, table), base2 in zip(it, it):
-            if table is None:
-                yield e, base2 + mid
-            else:
-                mid2 = table[mid]
-                if mid2 is not None:  # else a constraint blocks this write
-                    yield e, base2 + mid2
 
     start = mids[tuple(a.initial() for a in automata)]
     goal = frozenset(
@@ -345,7 +345,7 @@ def model_check(protocol: MemorySystem, k: int, max_states: int = DEFAULT_MAX_ST
     roots: dict[int, object] = {}
     for ps in protocol.initial_states():
         roots.setdefault(bases[encode(ps)] + start, ps)
-    found = _search(roots, expand, max_states, goal=lambda key: key % size in goal)
+    found = _search(roots, succ_cache, successors_of, size, max_states, goal=goal)
     states = len(found.keys)
     if found.goal is None:
         result = INCONCLUSIVE if found.exceeded else NO_VIOLATION
@@ -368,12 +368,12 @@ def explore_protocol(protocol: MemorySystem, max_states: Optional[int] = None) -
         _check_max_states(max_states)
     state_keys, ids = _numbering()  # id <-> protocol state key
 
-    def expand(i: int):
-        for e, ps2 in protocol.successors(protocol.decode_state(state_keys[i])):
-            yield e, ids[protocol.encode_state(ps2)]
+    def successors_of(i: int) -> list:
+        succ = protocol.successors(protocol.decode_state(state_keys[i]))
+        return [x for e, ps2 in succ for x in ((0, e), ids[protocol.encode_state(ps2)])]
 
     roots = [ids[protocol.encode_state(ps)] for ps in protocol.initial_states()]
-    found = _search(roots, expand, max_states)
+    found = _search(roots, {}, successors_of, 1, max_states)
     if found.exceeded:
         raise ParameterError(f"protocol exceeds {max_states} states")
     return len(found.keys), found.transitions
@@ -501,7 +501,7 @@ def validate_assumptions(
     ]
     checked = set()  # the state keys whose successors were compared
 
-    def expand(node_id: int):
+    def successors_of(node_id: int) -> list:
         key, written = by_id[node_id]
         state = protocol.decode_state(key)
         succ = successors(state)
@@ -514,6 +514,7 @@ def validate_assumptions(
                 }
                 if set(successors(permute_state(state, kind, perm))) != image:
                     asymmetric.append((node_id, kind, perm))
+        out: list = []
         for e, ps2 in succ:
             written2 = written
             if isinstance(e, MemoryEvent) and e.data != 0:
@@ -522,14 +523,11 @@ def validate_assumptions(
                     if e.data not in values:
                         acausal.append((node_id, e))
                 elif e.data not in values:
-                    written2 = (
-                        written[: e.loc - 1]
-                        + (values | {e.data},)
-                        + written[e.loc :]
-                    )
-            yield e, ids[(protocol.encode_state(ps2), written2)]
+                    written2 = written[: e.loc - 1] + (values | {e.data},) + written[e.loc :]
+            out += (0, e), ids[(protocol.encode_state(ps2), written2)]
+        return out
 
-    found = _search(roots, expand, None, depth_limit=depth)
+    found = _search(roots, {}, successors_of, 1, None, depth_limit=depth)
 
     def run_to(i: int, *extra: Event) -> tuple:
         """The run to node i, then extra; its initial state and owners."""
