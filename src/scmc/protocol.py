@@ -488,18 +488,20 @@ def replay(protocol: MemorySystem, run: Run, initial_state):
 _DIGIT_BASE = 255  # a shadow write carries one digit of its tag, plus 1: 1..255
 
 
-def _shadow_reads(protocol: MemorySystem, run: Run, initial_state, write_value):
-    """Follow the run on a shadow copy of the protocol in which each write
-    carries write_value(write), and yield (index, read, shadow read) for
-    each read, where the shadow read is the one read the shadow state
-    enables at the read's processor and location.  Divergence raises
+def _shadow_pass(protocol: MemorySystem, run: Run, initial_state, write_values):
+    """Follow the run on a shadow copy of the protocol in which the writes
+    carry write_values, in run order, and yield (index, event, shadow
+    event) for each memory event.  A shadow read is the one read the shadow
+    state enables at the read's processor and location.  Divergence raises
     DataIndependenceError."""
+    values = iter(write_values)
     shadow = initial_state
     for idx, e in enumerate(run.events, 1):
         if not isinstance(e, MemoryEvent):
             sh = e
         elif e.op == WRITE:
-            sh = MemoryEvent(WRITE, e.proc, e.loc, write_value(e))
+            sh = MemoryEvent(WRITE, e.proc, e.loc, next(values))
+            yield idx, e, sh
         else:
             cands = [
                 se
@@ -522,79 +524,65 @@ def _shadow_reads(protocol: MemorySystem, run: Run, initial_state, write_value):
             raise DataIndependenceError(f"event {idx}: shadow diverged: {exc}") from None
 
 
-def _check_renaming(idx: int, e: MemoryEvent, tag: int, renamed: dict, written: int) -> None:
-    """The read e, whose shadow read `tag` after `written` writes to its
-    location, must read the data that `renamed` gives that tag."""
-    expected = 0 if tag == 0 else renamed.get((e.loc, tag)) if tag <= written else None
-    if expected != e.data:
-        raise DataIndependenceError(
-            f"event {idx}: shadow read value {tag} renames to {expected}, run read {e.data}"
-        )
-
-
 def replay_unambiguous(protocol: MemorySystem, run: Run, initial_state) -> Trace:
     """Re-execute the run with globally fresh per-location write values.
 
-    A shadow copy of the protocol follows the run's control path while every
-    write carries the next unused tag (1, 2, ... per location) and every
-    read returns whatever the shadow state serves at that processor and
-    location.  The result is an unambiguous trace whose renaming back to the
-    original data values reproduces the run's memory projection; divergence
-    between the two executions means the protocol is not data independent.
-    The run is replayed first, so a run that does not replay raises
-    ReplayError before the shadow pass starts.
+    A shadow copy of the protocol follows the run's control path while the
+    i-th write to each location carries tag i and every read returns
+    whatever the shadow state serves at that processor and location.  The
+    result is an unambiguous trace whose renaming back to the original data
+    values reproduces the run's memory projection; divergence between the
+    two executions means the protocol is not data independent.  The run is
+    replayed first, so a run that does not replay raises ReplayError before
+    the shadow pass starts.
 
     A shadow write carries one base-255 digit of its tag, plus 1, so that
     values fit in the 1..255 that a packed state holds, and 0 stays the
-    initial value.  The first pass carries the lowest digit.  A read at a
-    location written at most 255 times so far reads its tag itself and is
-    checked there; with at most 255 writes per location that one pass is
-    all.  Otherwise one more pass per further digit rebuilds the tags of
-    the reads that were left open.
+    initial value.  There is one pass per digit of the largest tag, lowest
+    digit first; with at most 255 writes per location that is one pass.
+    The last pass spells each event's tag from its values in every pass,
+    and checks each read's renaming as it reaches the read.
     """
     replay(protocol, run, initial_state)
-    next_tag: dict[int, int] = {}
+    written: dict[int, int] = {}
+    tags: list[int] = []
+    for e in run.events:
+        if isinstance(e, MemoryEvent) and e.op == WRITE:
+            written[e.loc] = tag = written.get(e.loc, 0) + 1
+            tags.append(tag)
+    v = max(tags, default=1)
+    passes = 1
+    while v > _DIGIT_BASE**passes:
+        passes += 1
+    # by event index, over the passes so far: the sum of (value - 1) * scale
+    # and the number of passes whose value was 0, the initial value
+    spelled = [0] * (len(run.events) + 1)
+    unwritten = [0] * (len(run.events) + 1)
     renamed: dict[tuple[int, int], int] = {}
-    write_tags: list[int] = []
     out: list[MemoryEvent] = []
-    # (position in out, index, read, tags written to its location by then,
-    # the value it read in each pass) of each read left open
-    pending: dict[int, tuple] = {}
-
-    def first_digit(e: MemoryEvent) -> int:
-        tag = next_tag.get(e.loc, 1)
-        next_tag[e.loc] = tag + 1
-        renamed[(e.loc, tag)] = e.data
-        write_tags.append(tag)
-        out.append(MemoryEvent(WRITE, e.proc, e.loc, tag))
-        return (tag - 1) % _DIGIT_BASE + 1
-
-    for r, (idx, e, sh) in enumerate(_shadow_reads(protocol, run, initial_state, first_digit)):
-        written = next_tag.get(e.loc, 1) - 1
-        if written <= _DIGIT_BASE:
-            _check_renaming(idx, e, sh.data, renamed, written)
-        else:
-            pending[r] = (len(out), idx, e, written, [sh.data])
-        out.append(sh)
-    if pending:
-        scale = 1
-        while (max(write_tags) - 1) // scale >= _DIGIT_BASE:
-            scale *= _DIGIT_BASE
-            digits = iter([(tag - 1) // scale % _DIGIT_BASE + 1 for tag in write_tags])
-            reads = _shadow_reads(protocol, run, initial_state, lambda e: next(digits))
-            for r, (_idx, _e, sh) in enumerate(reads):
-                if r in pending:
-                    pending[r][4].append(sh.data)
-        for pos, idx, e, written, values in pending.values():
-            if not any(values):
-                tag = 0
-            elif all(values):
-                tag = 1 + sum((x - 1) * _DIGIT_BASE**p for p, x in enumerate(values))
-            else:  # the passes disagree on whether the read saw a write
-                tag = -1
-            _check_renaming(idx, e, tag, renamed, written)
-            out[pos] = MemoryEvent(READ, e.proc, e.loc, tag)
-    v = max([1] + [tag - 1 for tag in next_tag.values()])
+    for p in range(passes):
+        scale = _DIGIT_BASE**p
+        digits = [(tag - 1) // scale % _DIGIT_BASE + 1 for tag in tags]
+        for idx, e, sh in _shadow_pass(protocol, run, initial_state, digits):
+            x = sh.data
+            spelled[idx] += (x - 1) * scale
+            unwritten[idx] += not x
+            if p < passes - 1:
+                continue
+            miss = unwritten[idx]
+            # -1 when the passes disagree on whether the read saw a write
+            tag = spelled[idx] + 1 if not miss else 0 if miss == passes else -1
+            if e.op == WRITE:
+                renamed[(e.loc, tag)] = e.data
+            else:
+                expected = 0 if tag == 0 else renamed.get((e.loc, tag))
+                if expected != e.data:
+                    raise DataIndependenceError(
+                        f"event {idx}: shadow read value {tag} renames to {expected}, "
+                        f"run read {e.data}"
+                    )
+            # in a single pass the shadow event itself carries the tag
+            out.append(sh if x == tag else MemoryEvent(e.op, e.proc, e.loc, tag))
     return Trace(tuple(out), Params(protocol.n, protocol.m, v))
 
 

@@ -62,6 +62,20 @@ class PrivilegedWriterProtocol(SerialMemory):
         return (1,)
 
 
+class LostWriteProtocol(SerialMemory):
+    """Flat shared memory where a write of 2 leaves memory unchanged.
+
+    Deliberately data dependent: which write a read sees depends on the
+    values written, so renaming the written values changes the reads.
+    """
+
+    def successors(self, state):
+        return tuple(
+            (e, state if e.op == WRITE and e.data == 2 else nxt)
+            for e, nxt in super().successors(state)
+        )
+
+
 class HallucinatingReadProtocol(MemorySystem):
     """Stateless system whose reads may return 1 although nothing writes.
 

@@ -6,8 +6,9 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from corpus import store_buffer_tail, walk_trace
-from scmc import Params, Trace, make_protocol
-from scmc.events import READ, WRITE, MemoryEvent
+from scmc import PROTOCOL_NAMES, Params, Run, Trace, make_protocol
+from scmc.events import READ, WRITE, InternalEvent, MemoryEvent
+from scmc.protocol import DEFAULT_QUEUE_BOUND
 
 
 @st.composite
@@ -74,8 +75,8 @@ def permutations_of(size: int):
 
 
 @lru_cache(maxsize=None)
-def _protocol(name: str, n: int, m: int):
-    protocol = make_protocol(name, n, m)
+def _protocol(name: str, n: int, m: int, queue_bound: int = DEFAULT_QUEUE_BOUND):
+    protocol = make_protocol(name, n, m, queue_bound)
     return protocol, protocol.initial_states()
 
 
@@ -159,3 +160,35 @@ def jsonl_texts(draw):
     seps = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", " ", "\n\n"]),
                          min_size=len(out), max_size=len(out)))
     return "".join(line + sep for line, sep in zip(out, seps))
+
+
+@st.composite
+def mutated_walk_runs(draw, max_events=40):
+    """(protocol name, queue bound, owner vector, run): a seeded walk of
+    either Piranha variant at n, m and queue bound 1..3 from a random owner
+    vector, with at most one event mutated.  A mutated memory event takes
+    data 0..3 and a mutated internal event takes 0 to 3 parameters in 0..4,
+    so the run may stop replaying or leave the protocol's ranges.  The
+    header's v is the largest data value, at least 1."""
+    name = draw(st.sampled_from(PROTOCOL_NAMES))
+    n, m, queue_bound = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    owners = tuple(draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+    protocol, _roots = _protocol(name, n, m, queue_bound)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    state, events = protocol.initial_state(owners), []
+    for _ in range(draw(st.integers(0, max_events))):
+        succ = protocol.successors(state)
+        if not succ:
+            break
+        e, state = rng.choice(succ)
+        events.append(e)
+    if events and draw(st.booleans()):
+        i = draw(st.integers(0, len(events) - 1))
+        e = events[i]
+        if isinstance(e, MemoryEvent):
+            events[i] = e._replace(data=draw(st.integers(0, 3)))
+        else:
+            params = draw(st.lists(st.integers(0, 4), max_size=3))
+            events[i] = InternalEvent(e.label, tuple(params))
+    v = max([1] + [e.data for e in events if isinstance(e, MemoryEvent)])
+    return name, queue_bound, owners, Run(tuple(events), Params(n, m, v))

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmc import (
@@ -44,7 +44,7 @@ from corpus import serial_trace
 from fixtures import FullQueueStallsProtocol, HallucinatingReadProtocol
 from reference_jsonl import reference_loads_run_jsonl
 from reference_oracle import permutation_oracle
-from strategies import jsonl_texts
+from strategies import jsonl_texts, mutated_walk_runs
 from reference_witness import is_cycle_of
 
 W = lambda i, j, d: MemoryEvent(WRITE, i, j, d)
@@ -634,3 +634,28 @@ class TestFuzzedInput:
         else:
             assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_UNDECIDED)
             assert err.getvalue() == ""
+
+    @settings(max_examples=300)
+    @given(case=mutated_walk_runs())
+    def test_replay_and_oracle_on_mutated_walks(self, tmp_path_factory, case):
+        # Piranha is data independent, so the shadow replay never fails
+        # (exit 4); a mutation may stop the run replaying (exit 1) or leave
+        # the protocol's ranges (exit 3), and the oracle ignores internal
+        # events, so it always gives a verdict
+        name, queue_bound, owners, run = case
+        path = tmp_path_factory.getbasetemp() / "walk.jsonl"
+        path.write_text(dumps_jsonl(run), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "replay", str(path), "--protocol", name, "--queue-bound", str(queue_bound),
+                "--owners", ",".join(map(str, owners)), "--unambiguous", "--format", "json",
+            ])
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+        if code == EXIT_OK:
+            events = [MemoryEvent(**e) for e in json.loads(out.getvalue())["unambiguous_trace"]]
+            v = max([1] + [e.data for e in events])
+            build_constraint_graph(Trace(events, Params(run.params.n, run.params.m, v)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["oracle", str(path), "--bound", "12"])
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_UNDECIDED)

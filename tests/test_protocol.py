@@ -5,6 +5,7 @@ import random
 import pytest
 
 from scmc import (
+    DataIndependenceError,
     DisabledEventError,
     InternalEvent,
     MemoryEvent,
@@ -20,7 +21,7 @@ from scmc import (
     replay_unambiguous,
 )
 from scmc.protocol import EXC, INV, SHD, permute_event
-from fixtures import HallucinatingReadProtocol, PrivilegedWriterProtocol
+from fixtures import HallucinatingReadProtocol, LostWriteProtocol, PrivilegedWriterProtocol
 from reference_protocol import ReferencePiranha
 from reference_trace import permute_run
 
@@ -34,6 +35,10 @@ RUN8 = Run(
     (ACKX(1, 1), UPD(1), W(1, 1, 1), R(2, 1, 0), UPD(2), ACKS(2, 1), UPD(2), R(2, 1, 1)),
     Params(2, 1, 1),
 )
+
+# processor 1 writes location 1 and keeps tag 1 with an INVAL queued, and
+# processor 2 then owns it exclusively
+SETUP_LOC1 = (ACKX(1, 1), UPD(1), W(1, 1, 1), UPD(2), ACKS(2, 1), UPD(2), ACKX(2, 1), UPD(2))
 
 RUN12 = Run(
     (
@@ -319,19 +324,48 @@ class TestUnambiguousReplay:
         trace = replay_unambiguous(p, run, p.initial_state((1,)))
         assert [e.data for e in trace.events] == [1, 2, 2]
 
-    def test_tags_past_255_writes(self):
-        # processor 2 owns location 1 and writes it 600 times while
-        # processor 1 still holds tag 1 with an INVAL queued; tags above
-        # 255 take two shadow passes, one per base-255 digit
+    @pytest.mark.parametrize("burst_len", [254, 255, 600])
+    def test_tags_past_255_writes(self, burst_len):
+        # processor 2 owns location 1 and writes it burst_len times while
+        # processor 1 still holds tag 1 with an INVAL queued; the largest
+        # tag, burst_len + 1, is 255 (one shadow pass), 256 or 601 (two
+        # passes, one per base-255 digit)
         p = make_protocol("piranha", 2, 1)
-        setup = (ACKX(1, 1), UPD(1), W(1, 1, 1), UPD(2), ACKS(2, 1), UPD(2), ACKX(2, 1), UPD(2))
-        burst = tuple(W(2, 1, 1 + x % 2) for x in range(600))
-        tail = (R(1, 1, 1), R(2, 1, 2), UPD(1), R(2, 1, 2))
-        run = Run(setup + burst + tail, Params(2, 1, 2))
+        top, last = burst_len + 1, 1 + (burst_len - 1) % 2
+        burst = tuple(W(2, 1, 1 + x % 2) for x in range(burst_len))
+        tail = (R(1, 1, 1), R(2, 1, last), UPD(1), R(2, 1, last))
+        run = Run(SETUP_LOC1 + burst + tail, Params(2, 1, 2))
         trace = replay_unambiguous(p, run, p.initial_state((1,)))
-        assert [e.data for e in trace.events if e.op == "W"] == list(range(1, 602))
-        assert trace.events[-3:] == (R(1, 1, 1), R(2, 1, 601), R(2, 1, 601))
-        assert trace.params == Params(2, 1, 601)
+        assert [e.data for e in trace.events if e.op == "W"] == list(range(1, top + 1))
+        assert trace.events[-3:] == (R(1, 1, 1), R(2, 1, top), R(2, 1, top))
+        assert trace.params == Params(2, 1, top)
+
+    def test_location_with_few_writes_after_a_burst(self):
+        # location 1 takes two passes; location 2's tags stay below 4, so
+        # its high digit is 1 in every write and its reads spell their tags
+        # from both passes, including the reads of the initial value
+        p = make_protocol("piranha", 2, 2)
+        burst = tuple(W(2, 1, 1 + x % 2) for x in range(300))
+        tail = (
+            R(1, 1, 1), R(2, 2, 0), ACKX(1, 2), R(2, 2, 0), UPD(1), UPD(1),
+            W(1, 2, 2), R(1, 2, 2), W(1, 2, 1), W(1, 2, 2), R(1, 2, 2), R(2, 1, 2),
+        )
+        run = Run(SETUP_LOC1 + burst + tail, Params(2, 2, 2))
+        trace = replay_unambiguous(p, run, p.initial_state((1, 1)))
+        assert trace.events[-9:] == (
+            R(1, 1, 1), R(2, 2, 0), R(2, 2, 0),
+            W(1, 2, 1), R(1, 2, 1), W(1, 2, 2), W(1, 2, 3), R(1, 2, 3), R(2, 1, 301),
+        )
+        assert trace.params == Params(2, 2, 301)
+
+    def test_data_dependent_read_names_its_event(self):
+        # in the shadow the lost write is the second, so the read sees the
+        # first write's tag, which renames to 2 where the run read 1
+        run = Run((W(1, 1, 2), W(1, 1, 1), R(1, 1, 1)), Params(1, 1, 2))
+        p = LostWriteProtocol(1, 1, 2)
+        with pytest.raises(DataIndependenceError) as exc:
+            replay_unambiguous(p, run, p.initial_states()[0])
+        assert str(exc.value) == "event 3: shadow read value 1 renames to 2, run read 1"
 
     def test_long_walk_unchanged(self, long_walk):
         # the 10,000-event walk reaches tag 706 at one location; this is
