@@ -194,8 +194,8 @@ def check_sc_oracle(
     in serial order.  One search over program-order interleavings decides
     SC and yields that serialization.
     """
-    if bound < 0:
-        raise ParameterError(f"oracle bound must be >= 0, got {bound}")
+    if type(bound) is not int or bound < 0:
+        raise ParameterError(f"oracle bound must be >= 0 and an int, got {bound!r}")
     total = len(trace)
     if total > bound:
         raise OracleBoundError(total, bound)

@@ -45,6 +45,7 @@ MSG_NAMES = ("ACKS", "ACKX", "INVAL")
 
 DEFAULT_QUEUE_BOUND = 3
 MAX_PROCS_LOCS = 255  # the largest n and m a state can hold: one byte each
+MAX_QUEUE_BOUND = 255  # the longest queue a state can hold: its length is one byte
 MAX_DATA = 255  # the largest data value a state can hold
 
 
@@ -130,13 +131,14 @@ class _Memo(dict):
         return value
 
 
-def _grant_table(n: int, m: int) -> _Memo:
+def _grant_table(n: int, m: int, bound: int) -> _Memo:
     """A table from a grant key to Piranha's enabled ACKX and the enabled
     ACKS grants, as 0-based (i, j) pairs ascending in (i, j).
 
     A key is a state's status bytes (processor i's at i * m + j, 0-based),
-    its owner bytes, then a byte per processor that is 1 if its queue is
-    full.  Both grants need owner[j] != 0 and room in the requester's queue.
+    its owner bytes, then its queue-length bytes; a queue of `bound`
+    messages is full.  Both grants need owner[j] != 0 and room in the
+    requester's queue.
     ACKX(i, j) also needs i not EXC and room in the queue of every other
     sharer of j except the old owner, which is invalidated directly;
     ACKS(i, j) needs i INV.
@@ -151,7 +153,8 @@ def _grant_table(n: int, m: int) -> _Memo:
     shared: dict = {}  # each distinct grant tuple and value, as itself
 
     def grants(key: bytes) -> tuple[tuple, tuple]:
-        status, owner, full = key[: n * m], key[n * m : n * m + m], key[n * m + m :]
+        status, owner = key[: n * m], key[n * m : n * m + m]
+        full = [length >= bound for length in key[n * m + m :]]
         # ACKX at j is blocked when j has no owner, or when a sharer of j
         # other than the old owner has a full queue
         blocked = [
@@ -181,8 +184,10 @@ class PiranhaProtocol(MemorySystem):
 
     For each processor i, a (data, status) byte pair per location j, at
     offset 2 * (i * m + j) (0-based); then the owner byte of each location;
-    then each processor's queue: a length byte followed by a (kind, addr,
-    data) triple per message, INVAL carrying data 0.  `view` turns a state
+    then the length byte of each processor's queue; then each processor's
+    queue as queue_bound (kind, addr, data) slots, its messages first and
+    the unused slots zero, INVAL carrying data 0.  So every queue sits at a
+    fixed offset, and equal views are equal bytes.  `view` turns a state
     into a PiranhaState and `pack` turns one back.
     """
 
@@ -200,13 +205,18 @@ class PiranhaProtocol(MemorySystem):
                     f"{name} must be at most {MAX_PROCS_LOCS}, got {value}: states keep"
                     " processor ids and locations in one byte each"
                 )
-        if type(queue_bound) is not int or queue_bound < 1:
-            raise ParameterError(f"queue_bound must be an int >= 1, got {queue_bound!r}")
+        if type(queue_bound) is not int or not 1 <= queue_bound <= MAX_QUEUE_BOUND:
+            raise ParameterError(
+                f"queue_bound must be an int in 1..{MAX_QUEUE_BOUND}, got {queue_bound!r}:"
+                " states keep a queue's length in one byte"
+            )
         self.n, self.m = n, m
         self.queue_bound = queue_bound
         self.buggy = buggy
         self._owner_at = 2 * n * m  # offset of the owner bytes
-        self._queues_at = self._owner_at + m  # offset of the first queue
+        self._lengths_at = self._owner_at + m  # offset of the queue-length bytes
+        self._slots_at = self._lengths_at + n  # offset of the first queue's slots
+        self._queue_at = tuple(self._slots_at + 3 * queue_bound * i for i in range(n))
         self._initial: Optional[tuple] = None
         # Events are built once here.  _cells lists, per processor and
         # location in (i, j) order, the offset of its data byte and its
@@ -225,7 +235,7 @@ class PiranhaProtocol(MemorySystem):
         self._acks = tuple(tuple(InternalEvent("ACKS", (i, j)) for j in locs) for i in procs)
         self._upd = tuple(InternalEvent("UPD", (i,)) for i in procs)
         self._invals = tuple(bytes((INVAL_MSG, j, 0)) for j in locs)
-        self._grant_table = _grant_table(n, m)
+        self._grant_table = _grant_table(n, m, queue_bound)
 
     # -- states -------------------------------------------------------------
 
@@ -233,20 +243,22 @@ class PiranhaProtocol(MemorySystem):
         """The state whose view is `view`."""
         out = [x for row in view.cache for entry in row for x in entry]
         out += view.owner
+        out += map(len, view.inq)
         for queue in view.inq:
-            out.append(len(queue))
             for kind, addr, data in queue:
                 out += (kind, addr, 0 if data is None else data)
+            out += bytes(3 * (self.queue_bound - len(queue)))
         return bytes(out)
 
     def view(self, state: bytes) -> PiranhaState:
         """The readable form of a state; the inverse of pack."""
-        m, owner_at = self.m, self._owner_at
-        try:
-            starts = self._queue_starts(state)[0]
-        except IndexError:
-            starts = None
-        if starts is None or starts[-1] != len(state):
+        m, bound, owner_at, lengths_at = self.m, self.queue_bound, self._owner_at, self._lengths_at
+        lengths = state[lengths_at : self._slots_at]
+        # a queue's length is at most the bound, and its unused slots are zero
+        if len(state) != self._slots_at + 3 * bound * self.n or not all(
+            length <= bound and not any(state[start + 3 * length : start + 3 * bound])
+            for length, start in zip(lengths, self._queue_at)
+        ):
             raise ParameterError("malformed state")
         cache = tuple(
             tuple((state[pos], state[pos + 1]) for pos in range(start, start + 2 * m, 2))
@@ -255,11 +267,11 @@ class PiranhaProtocol(MemorySystem):
         inq = tuple(
             tuple(
                 Msg(kind, addr, None if kind == INVAL_MSG else data)
-                for kind, addr, data in zip(*[iter(state[start + 1 : end])] * 3)
+                for kind, addr, data in zip(*[iter(state[start : start + 3 * length])] * 3)
             )
-            for start, end in zip(starts, starts[1:])
+            for length, start in zip(lengths, self._queue_at)
         )
-        return PiranhaState(cache, tuple(state[owner_at : self._queues_at]), inq)
+        return PiranhaState(cache, tuple(state[owner_at:lengths_at]), inq)
 
     def initial_state(self, owner: Sequence[int]) -> bytes:
         owner = tuple(owner)
@@ -278,36 +290,28 @@ class PiranhaProtocol(MemorySystem):
             )
         return self._initial
 
-    def _queue_starts(self, state: bytes) -> tuple[list[int], bytearray]:
-        """The offset of each processor's queue, then the end of the last;
-        and a byte per processor that is 1 if its queue is full."""
-        bound, pos = self.queue_bound, self._queues_at
-        starts, full = [pos], bytearray()
-        for _ in range(self.n):
-            length = state[pos]
-            full.append(length >= bound)
-            pos += 1 + 3 * length
-            starts.append(pos)
-        return starts, full
-
     # -- guards -------------------------------------------------------------
 
-    def _grants(self, state: bytes) -> tuple[list[int], tuple[tuple, tuple]]:
-        """The queue offsets (`_queue_starts`), and the enabled ACKX and the
-        enabled ACKS grants, as 0-based (i, j) pairs ascending in (i, j).
+    def _grants(self, state: bytes) -> tuple[tuple, tuple]:
+        """The enabled ACKX and the enabled ACKS grants, as 0-based (i, j)
+        pairs ascending in (i, j).
 
-        Grants depend only on the status and owner bytes and on which queues
-        are full, so they are looked up in a table keyed by those bytes
-        (`_grant_table`).
+        Grants depend only on the status, owner and queue-length bytes, so
+        they are looked up in a table keyed by those bytes (`_grant_table`).
         """
-        starts, full = self._queue_starts(state)
         owner_at = self._owner_at
-        key = state[1:owner_at:2] + state[owner_at : self._queues_at] + full
-        return starts, self._grant_table[key]
+        return self._grant_table[state[1:owner_at:2] + state[owner_at : self._slots_at]]
 
     # -- bodies (0-based processor and location) -----------------------------
 
-    def _do_ackx(self, state: bytes, starts: list[int], i: int, j: int) -> bytes:
+    def _enqueue(self, b: bytearray, p: int, msg: bytes) -> None:
+        """Put msg in the first free slot of processor p's queue in b."""
+        at = self._lengths_at + p
+        pos = self._queue_at[p] + 3 * b[at]
+        b[pos : pos + 3] = msg
+        b[at] += 1
+
+    def _do_ackx(self, state: bytes, i: int, j: int) -> bytes:
         m = self.m
         old = state[self._owner_at + j] - 1
         data = state[2 * (old * m + j)]
@@ -315,38 +319,28 @@ class PiranhaProtocol(MemorySystem):
         if old != i:
             b[2 * (old * m + j) + 1] = INV
         b[self._owner_at + j] = 0
-        inval = self._invals[j]
-        # from the last queue back, so each insert leaves the offsets of the
-        # queues still to visit where they were
-        for p in range(self.n - 1, -1, -1):
-            if p == i:
-                msg = bytes((ACKX_MSG, j + 1, data))
-            elif p != old and state[2 * (p * m + j) + 1] != INV:
-                msg = inval
-            else:
-                continue
-            end = starts[p + 1]
-            b[end:end] = msg
-            b[starts[p]] += 1
+        self._enqueue(b, i, bytes((ACKX_MSG, j + 1, data)))
+        for p in range(self.n):
+            if p != i and p != old and state[2 * (p * m + j) + 1] != INV:
+                self._enqueue(b, p, self._invals[j])
         return bytes(b)
 
-    def _do_acks(self, state: bytes, starts: list[int], i: int, j: int) -> bytes:
+    def _do_acks(self, state: bytes, i: int, j: int) -> bytes:
         pos = 2 * ((state[self._owner_at + j] - 1) * self.m + j)
         b = bytearray(state)
         b[pos + 1] = SHD
         if not self.buggy:
             b[self._owner_at + j] = 0  # the bug: this reset is skipped
-        end = starts[i + 1]
-        b[end:end] = bytes((ACKS_MSG, j + 1, state[pos]))
-        b[starts[i]] += 1
+        self._enqueue(b, i, bytes((ACKS_MSG, j + 1, state[pos])))
         return bytes(b)
 
-    def _do_upd(self, state: bytes, starts: list[int], i: int) -> bytes:
-        start = starts[i]
-        kind, a, data = state[start + 1 : start + 4]
+    def _do_upd(self, state: bytes, i: int) -> bytes:
+        start = self._queue_at[i]
+        end = start + 3 * self.queue_bound
+        kind, a, data = state[start : start + 3]
         b = bytearray(state)
-        b[start] -= 1
-        del b[start + 1 : start + 4]
+        b[self._lengths_at + i] -= 1
+        b[start:end] = state[start + 3 : end] + bytes(3)
         pos = 2 * (i * self.m + a - 1)
         if kind == INVAL_MSG:
             b[pos + 1] = INV
@@ -380,24 +374,23 @@ class PiranhaProtocol(MemorySystem):
         if label == "UPD":
             if len(params) != 1 or not 1 <= params[0] <= self.n:
                 raise ParameterError(f"bad params in {event!r}")
-            starts = self._queue_starts(state)[0]
-            if not state[starts[params[0] - 1]]:
+            if not state[self._lengths_at + params[0] - 1]:
                 raise DisabledEventError(f"{event!r}: queue empty")
-            return self._do_upd(state, starts, params[0] - 1)
+            return self._do_upd(state, params[0] - 1)
         if label in ("ACKX", "ACKS"):
             if len(params) != 2 or not (
                 1 <= params[0] <= self.n and 1 <= params[1] <= self.m
             ):
                 raise ParameterError(f"bad params in {event!r}")
             i, j = params[0] - 1, params[1] - 1
-            starts, (ackx, acks) = self._grants(state)
+            ackx, acks = self._grants(state)
             if label == "ACKX":
                 if (i, j) not in ackx:
                     raise DisabledEventError(f"{event!r}: guard false")
-                return self._do_ackx(state, starts, i, j)
+                return self._do_ackx(state, i, j)
             if (i, j) not in acks:
                 raise DisabledEventError(f"{event!r}: guard false")
-            return self._do_acks(state, starts, i, j)
+            return self._do_acks(state, i, j)
         raise ParameterError(f"unknown internal event label {label!r}")
 
     def successors(self, state: bytes) -> tuple[tuple[Event, object], ...]:
@@ -419,15 +412,15 @@ class PiranhaProtocol(MemorySystem):
                 for e, byte in writes_here:
                     writes.append((e, head + byte + tail))
         out += writes
-        starts, (ackx, acks) = self._grants(state)
+        ackx, acks = self._grants(state)
         append = out.append
         for i, j in ackx:
-            append((self._ackx[i][j], self._do_ackx(state, starts, i, j)))
+            append((self._ackx[i][j], self._do_ackx(state, i, j)))
         for i, j in acks:
-            append((self._acks[i][j], self._do_acks(state, starts, i, j)))
-        for i, start in enumerate(starts[: self.n]):
-            if state[start]:
-                append((self._upd[i], self._do_upd(state, starts, i)))
+            append((self._acks[i][j], self._do_acks(state, i, j)))
+        for i, length in enumerate(state[self._lengths_at : self._slots_at]):
+            if length:
+                append((self._upd[i], self._do_upd(state, i)))
         return tuple(out)
 
     # -- misc ----------------------------------------------------------------

@@ -361,8 +361,8 @@ def find_nice_cycle(graph: ConstraintGraph, k: int) -> Optional[NiceCycle]:
     nothing.
     """
     params = graph.trace.params
-    if not 1 <= k <= min(params.n, params.m):
-        raise ParameterError(f"k {k} outside 1..{min(params.n, params.m)}")
+    if type(k) is not int or not 1 <= k <= min(params.n, params.m):
+        raise ParameterError(f"k must be an int in 1..{min(params.n, params.m)}, got {k!r}")
     events = graph.trace.events
     level = graph.level
     component = graph._components[0]

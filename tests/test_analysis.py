@@ -203,6 +203,12 @@ class TestOracle:
         with pytest.raises(ParameterError):
             check_sc_oracle(Trace((), Params(1, 1, 1)), bound=-1)
 
+    @pytest.mark.parametrize("bound", [None, "3", 3.0, True])
+    def test_bound_must_be_an_int(self, bound):
+        # True would act as 1 and the rest raise TypeError
+        with pytest.raises(ParameterError):
+            check_sc_oracle(Trace((R(1, 1, 0),), Params(1, 1, 1)), bound=bound)
+
     def test_memory_sized_by_locations_used(self):
         # the header declares 10^7 locations; the search's memory has one
         trace = Trace((W(1, 1, 1),), Params(1, 10_000_000, 1))

@@ -448,6 +448,21 @@ class TestReplay:
         assert proc.returncode == EXIT_USAGE
         assert "m must be at most 255" in proc.stderr and "Traceback" not in proc.stderr
 
+    # processor 3 shares location 1 and never drains its queue, so each of
+    # the 256 ACKX grants queues one more INVAL there
+    LONG_QUEUE = Run((ACKX(2, 1), UPD(2), ACKX(1, 1), UPD(1)) * 128, Params(3, 1, 1))
+
+    def test_queue_bound_past_a_byte_exits_usage(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path, "long-queue.jsonl", self.LONG_QUEUE)
+        assert main(["replay", path, "--queue-bound", "300", "--owners", "1"]) == EXIT_USAGE
+        assert "queue_bound must be an int in 1..255" in capsys.readouterr().err
+
+    def test_full_queue_at_the_largest_bound(self, tmp_path, capsys):
+        # at bound 255 the 256th ACKX finds processor 3's queue full
+        path = write_jsonl(tmp_path, "long-queue.jsonl", self.LONG_QUEUE)
+        assert main(["replay", path, "--queue-bound", "255", "--owners", "1"]) == EXIT_VIOLATION
+        assert "replay failed at event index 511" in capsys.readouterr().out
+
 
 class TestValidateAssumptions:
     def test_piranha_clean(self, capsys):

@@ -20,7 +20,7 @@ from scmc import (
     replay,
     replay_unambiguous,
 )
-from scmc.protocol import EXC, INV, SHD, permute_event
+from scmc.protocol import EXC, INV, INVAL_MSG, MAX_QUEUE_BOUND, SHD, permute_event
 from fixtures import HallucinatingReadProtocol, LostWriteProtocol, PrivilegedWriterProtocol
 from reference_protocol import ReferencePiranha
 from reference_trace import permute_run
@@ -78,6 +78,10 @@ class TestConstruction:
     def test_bad_queue_bound(self):
         with pytest.raises(ParameterError):
             PiranhaProtocol(2, 2, queue_bound=0)
+        # a queue's length is one byte of the state
+        PiranhaProtocol(2, 2, queue_bound=MAX_QUEUE_BOUND)
+        with pytest.raises(ParameterError, match=r"1\.\.255"):
+            PiranhaProtocol(2, 2, queue_bound=MAX_QUEUE_BOUND + 1)
 
     @pytest.mark.parametrize("bound", [2.5, 3.0, True, "3"])
     def test_queue_bound_must_be_an_int(self, bound):
@@ -305,6 +309,18 @@ class TestPackedRelation:
             assert all(s2 is s for e, s2 in succ if getattr(e, "op", None) == "R")
 
 
+class TestPackedLayout:
+    # every queue has queue_bound slots at a fixed offset, so every state
+    # has one length and pack inverts view on it
+    @pytest.mark.parametrize("name", ["piranha", "piranha-buggy"])
+    @pytest.mark.parametrize("n, m, q", [(2, 2, 3), (3, 2, 1)])
+    def test_fixed_length_and_pack_inverts_view(self, name, n, m, q):
+        p = make_protocol(name, n, m, q)
+        for s in _reachable(p, 30_000):
+            assert len(s) == 2 * n * m + m + n + 3 * n * q
+            assert p.pack(p.view(s)) == s
+
+
 class TestUnambiguousReplay:
     def test_already_unambiguous_identity(self):
         p = make_protocol("piranha", 2, 1)
@@ -448,7 +464,11 @@ class TestStateEncoding:
     def test_decode_rejects_malformed_key(self):
         p = make_protocol("piranha", 2, 2)
         key = p.initial_state((1, 1))
-        for bad in (key + b"\x00", key[:-1], key[:3]):
+        # processor 1's queue: its length byte, then its first slot
+        lengths_at, slot = 2 * 2 * 2 + 2, 2 * 2 * 2 + 2 + 2
+        longer = key[:lengths_at] + bytes((4,)) + key[lengths_at + 1 :]
+        stray = key[:slot] + bytes((INVAL_MSG, 1, 0)) + key[slot + 3 :]
+        for bad in (key + b"\x00", key[:-1], key[:3], longer, stray):
             with pytest.raises(ParameterError):
                 p.view(bad)
 

@@ -317,6 +317,12 @@ class TestNiceCycle:
         with pytest.raises(ParameterError):
             find_nice_cycle(g, 3)
 
+    @pytest.mark.parametrize("k", [None, "1", 1.0, True])
+    def test_k_must_be_an_int(self, k):
+        # True would act as 1 and the rest raise TypeError
+        with pytest.raises(ParameterError):
+            find_nice_cycle(build_constraint_graph(VIOLATION), k)
+
     def test_minimal_search(self):
         g = build_constraint_graph(VIOLATION)
         nc = find_minimal_nice_cycle(g)
